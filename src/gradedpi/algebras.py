@@ -39,7 +39,8 @@ class GradedAlgebra:
     """
 
     __slots__ = ("group", "conductor", "labels", "degrees", "table", "unit",
-                 "provenance", "_components", "_mul_cache", "_integer_products")
+                 "provenance", "_components", "_mul_cache", "_integer_products",
+                 "_classification")
 
     def __init__(self, group: FinAbGroup, conductor: int, labels, degrees,
                  table, unit, provenance: str | None = None):
@@ -92,8 +93,11 @@ class GradedAlgebra:
         for idx, g in enumerate(degrees):
             comps.setdefault(g, []).append(idx)
         self._components = {g: tuple(v) for g, v in comps.items()}
+        # memo state: identity spaces by degree tuple, the compiled table, and
+        # the structure.classify report
         self._mul_cache = {}
         self._integer_products = None
+        self._classification = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -142,8 +146,12 @@ class GradedAlgebra:
     def component_basis(self, g: GroupElement) -> list["AlgebraElement"]:
         return [self.basis_element(i) for i in self.component(g)]
 
-    def mul_basis(self, i: int, j: int):
-        return self.table.get((i, j), ())
+    def basis_product(self, i: int, j: int) -> "AlgebraElement":
+        """basis_element(i) * basis_element(j), read off the table."""
+        out: dict = {}
+        for k, s in self.table.get((i, j), ()):
+            out[k] = out[k] + s if k in out else s
+        return AlgebraElement(self, out)
 
     def integer_products(self) -> "IntegerProducts":
         """The multiplication table compiled to integers, built on first use."""
@@ -294,9 +302,9 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if other.parent is not self.parent:
-            return False
-        return (self - other).is_zero()
+        # coefficients are nonzero and kept at the parent conductor, where
+        # equal scalars have equal coordinates
+        return other.parent is self.parent and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((id(self.parent),
@@ -345,11 +353,13 @@ def validate(a: GradedAlgebra) -> ValidationReport:
         if one * b != b or b * one != b:
             failures.append(f"unit law fails at {a.labels[i]}")
     basis = [a.basis_element(i) for i in range(a.dim)]
+    products = [[a.basis_product(i, j) for j in range(a.dim)]
+                for i in range(a.dim)]
     for i in range(a.dim):
         for j in range(a.dim):
-            ij = basis[i] * basis[j]
+            ij = products[i][j]
             for k in range(a.dim):
-                if (ij * basis[k]) != (basis[i] * (basis[j] * basis[k])):
+                if (ij * basis[k]) != (basis[i] * products[j][k]):
                     failures.append(
                         f"associativity fails at ({a.labels[i]},{a.labels[j]},{a.labels[k]})")
     return ValidationReport(ok=not failures, failures=failures)
@@ -771,12 +781,18 @@ def _catalog_pauli(n: int, k: int):
             labels.append(f"iX{a}Y{b}")
             degrees.extend([g.element((a, b))] * 2)
     idx = lambda a, b, s: (a * n + b) * 2 + s
+    # (re, im) of zeta^p for each residue p, without inversions:
+    # re = (zeta^p + zeta^-p) / 2 and im = (zeta^(p-q) - zeta^(-p-q)) / 2,
+    # q = cond/4, since 1/(2i) = zeta^-q / 2
+    zeta = lambda p: CycloScalar.root_of_unity(cond, p)
+    half, q = Fraction(1, 2), cond // 4
+    parts = [((zeta(p) + zeta(-p)) * half, (zeta(p - q) - zeta(-p - q)) * half)
+             for p in range(cond)]
     table = {}
     for a, b, s in itertools.product(range(n), range(n), range(2)):
         for c, d, t in itertools.product(range(n), range(n), range(2)):
             power = (s + t) * (cond // 4) - k * b * c * (cond // n)
-            z = CycloScalar.root_of_unity(cond, power)
-            re, im = z.real_part(), z.imag_part()
+            re, im = parts[power % cond]
             entries = []
             if not re.is_zero():
                 entries.append((idx((a + c) % n, (b + d) % n, 0), re))

@@ -110,7 +110,7 @@ class CycloScalar:
         vec = [_ZERO] * phi
         for k, c in enumerate(coeffs):
             if c:
-                vec[k] = Fraction(c)
+                vec[k] = c if type(c) is Fraction else Fraction(c)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(vec))
         object.__setattr__(self, "_hash", None)

@@ -43,8 +43,7 @@ def _lcm(a: int, b: int) -> int:
 def _basis_pairs(a: GradedAlgebra, g: GroupElement, h: GroupElement):
     for i in a.component(g):
         for j in a.component(h):
-            yield a.basis_element(i) * a.basis_element(j), \
-                a.basis_element(j) * a.basis_element(i)
+            yield a.basis_product(i, j), a.basis_product(j, i)
 
 
 def _ratio(num: AlgebraElement, den: AlgebraElement):
@@ -99,6 +98,12 @@ def complex_commutation_factor(a: GradedAlgebra, g: GroupElement,
                                h: GroupElement, j: AlgebraElement):
     """lambda1 + lambda2*i with xy = lambda1*yx + lambda2*J*yx, or None."""
     _validate_complex_unit(a, j)
+    return _complex_factor(a, g, h, j)
+
+
+def _complex_factor(a: GradedAlgebra, g: GroupElement, h: GroupElement,
+                    j: AlgebraElement):
+    # complex_commutation_factor for a unit J already validated
     sol = None
     pairs = []
     for ab, ba in _basis_pairs(a, g, h):
@@ -162,11 +167,9 @@ def _central_part_vectors(a: GradedAlgebra, g: GroupElement):
     slots = totient(a.conductor)
     reducer = RowReducer(width)
     for s in range(a.dim):
-        bs = a.basis_element(s)
         rows: dict = {}
         for pos, t in enumerate(comp):
-            bt = a.basis_element(t)
-            diff = bt * bs - bs * bt
+            diff = a.basis_product(t, s) - a.basis_product(s, t)
             for k, c in diff.coeffs.items():
                 for slot, q in enumerate(c.rational_coordinates()):
                     if q:
@@ -313,6 +316,13 @@ class BicharTable:
     def as_matrix(self) -> list[list[CycloScalar]]:
         return [[self.values[(g, h)] for h in self.domain] for g in self.domain]
 
+    @classmethod
+    def checked(cls, domain, values: dict, flavor: str = "real",
+                unit: AlgebraElement | None = None) -> "BicharTable":
+        """The table of `values` on `domain`, with its axiom violations."""
+        return cls(domain, values, flavor, unit,
+                   _axiom_violations(domain, values))
+
 
 def bicharacter_table(a: GradedAlgebra, domain, flavor: str = "real",
                       unit: AlgebraElement | None = None) -> BicharTable:
@@ -323,41 +333,119 @@ def bicharacter_table(a: GradedAlgebra, domain, flavor: str = "real",
         dom = tuple(sorted(domain))
     if flavor not in ("real", "complex"):
         raise PreconditionError("flavor must be 'real' or 'complex'")
-    if flavor == "complex" and unit is None:
-        raise PreconditionError("complex tables need a complex unit J")
+    if flavor == "complex":
+        if unit is None:
+            raise PreconditionError("complex tables need a complex unit J")
+        _validate_complex_unit(a, unit)
     values = {}
     for g in dom:
         for h in dom:
             if flavor == "real":
                 lam = commutation_factor(a, g, h)
             else:
-                lam = complex_commutation_factor(a, g, h, unit)
+                lam = _complex_factor(a, g, h, unit)
             if lam is None:
                 raise PreconditionError(
                     f"no commutation factor on the pair ({g}, {h})")
             values[(g, h)] = lam
-    return BicharTable(dom, values, flavor, unit,
-                       _axiom_violations(dom, values))
+    return BicharTable.checked(dom, values, flavor, unit)
 
 
 def _axiom_violations(dom, values) -> tuple[str, ...]:
+    """Skew symmetry and multiplicativity in the first argument, exactly.
+
+    A bicharacter takes few distinct values, so they are interned: every
+    value is promoted to the table's common conductor, where equal values
+    have equal coordinates, and numbered by those coordinates.  Each product
+    of two numbered values is computed once; the loops compare numbers.
+    """
+    m = 1
+    for v in values.values():
+        m = _lcm(m, v.conductor)
+    number: dict = {}
+    interned: list[CycloScalar] = []
+
+    def intern(v: CycloScalar) -> int:
+        v = v.promote(m)
+        k = number.get(v.coeffs)
+        if k is None:
+            k = number[v.coeffs] = len(interned)
+            interned.append(v)
+        return k
+
+    products: dict = {}
+
+    def product(i: int, j: int) -> int:
+        key = (i, j) if i <= j else (j, i)
+        k = products.get(key)
+        if k is None:
+            k = products[key] = intern(interned[i] * interned[j])
+        return k
+
+    n = len(dom)
+    ids = [[intern(values[(g, h)]) for h in dom] for g in dom]
+    one_id = intern(CycloScalar.one(1))
     violations = []
-    one = CycloScalar.one(1)
-    for g in dom:
-        for h in dom:
-            if values[(g, h)] * values[(h, g)] != one:
-                violations.append(f"skew symmetry fails at ({g}, {h})")
-    domset = set(dom)
-    for g in dom:
-        for h in dom:
-            gh = g * h
-            if gh not in domset:
+    for r in range(n):
+        for c in range(n):
+            if product(ids[r][c], ids[c][r]) != one_id:
+                violations.append(
+                    f"skew symmetry fails at ({dom[r]}, {dom[c]})")
+    position = {g: r for r, g in enumerate(dom)}
+    for r, g in enumerate(dom):
+        for c, h in enumerate(dom):
+            rc = position.get(g * h)
+            if rc is None:
                 continue
-            for k in dom:
-                if values[(gh, k)] != values[(g, k)] * values[(h, k)]:
+            for t in range(n):
+                if ids[rc][t] != product(ids[r][t], ids[c][t]):
                     violations.append(
-                        f"multiplicativity fails at ({g}, {h}; {k})")
+                        f"multiplicativity fails at ({g}, {h}; {dom[t]})")
     return tuple(violations)
+
+
+def _hall_products(a: GradedAlgebra, g: GroupElement) -> list[AlgebraElement]:
+    """The nonzero P = [x,y][x,w] + [x,w][x,y] over x,w in A_e, y in A_g,
+    in the order x, y, w of basis positions."""
+    ebasis = a.component(a.group.identity)
+    if len(ebasis) != 4:
+        raise PreconditionError("Hall bicharacter needs dim A_e = 4")
+    bracket = lambda i, j: a.basis_product(i, j) - a.basis_product(j, i)
+    out = []
+    for x in ebasis:
+        cxws = [bracket(x, w) for w in ebasis]
+        for y in a.component(g):
+            cxy = bracket(x, y)
+            if cxy.is_zero():
+                continue
+            for cxw in cxws:
+                if cxw.is_zero():
+                    continue
+                p = cxy * cxw + cxw * cxy
+                if not p.is_zero():
+                    out.append(p)
+    return out
+
+
+def _hall_factor(products: list[AlgebraElement], hbasis):
+    """The real lambda with p z = lambda z p for every product p and every z
+    in hbasis, or None."""
+    lam = None
+    for p in products:
+        for z in hbasis:
+            lhs = p * z
+            rhs = z * p
+            if rhs.is_zero():
+                if lhs.is_zero():
+                    continue
+                return None
+            if lam is None:
+                lam = _ratio(lhs, rhs)
+                if lam is None or not lam.is_real():
+                    return None
+            elif lhs != rhs.scale(lam):
+                return None
+    return lam
 
 
 def bicharacter_via_hall(a: GradedAlgebra, g: GroupElement, h: GroupElement):
@@ -365,39 +453,7 @@ def bicharacter_via_hall(a: GradedAlgebra, g: GroupElement, h: GroupElement):
     ([x,y][x,w] + [x,w][x,y]) over x,w in A_e, y in A_g; None if the
     evaluations all vanish or no single lambda works.
     """
-    e = a.group.identity
-    ebasis = a.component_basis(e)
-    if len(ebasis) != 4:
-        raise PreconditionError("Hall bicharacter needs dim A_e = 4")
-    gbasis = a.component_basis(g)
-    hbasis = a.component_basis(h)
-    lam = None
-    for x in ebasis:
-        for y in gbasis:
-            cxy = x * y - y * x
-            if cxy.is_zero():
-                continue
-            for w in ebasis:
-                cxw = x * w - w * x
-                if cxw.is_zero():
-                    continue
-                p = cxy * cxw + cxw * cxy
-                if p.is_zero():
-                    continue
-                for z in hbasis:
-                    lhs = p * z
-                    rhs = z * p
-                    if rhs.is_zero():
-                        if lhs.is_zero():
-                            continue
-                        return None
-                    if lam is None:
-                        lam = _ratio(lhs, rhs)
-                        if lam is None or not lam.is_real():
-                            return None
-                    elif lhs != rhs.scale(lam):
-                        return None
-    return lam
+    return _hall_factor(_hall_products(a, g), a.component_basis(h))
 
 
 # -- support invariants ------------------------------------------------------
@@ -405,12 +461,11 @@ def bicharacter_via_hall(a: GradedAlgebra, g: GroupElement, h: GroupElement):
 
 def commuting_support(a: GradedAlgebra) -> tuple[GroupElement, ...]:
     """Degrees g for which [x_e, y_g] is an identity."""
-    e = a.group.identity
-    ebasis = a.component_basis(e)
+    ebasis = a.component(a.group.identity)
     out = []
     for g in a.support():
-        if all((x * y) == (y * x)
-               for x in ebasis for y in a.component_basis(g)):
+        if all(a.basis_product(i, j) == a.basis_product(j, i)
+               for i in ebasis for j in a.component(g)):
             out.append(g)
     return tuple(out)
 
@@ -496,12 +551,9 @@ def _table_or_violation(a, domain, flavor="real", unit=None) -> BicharTable:
 
 def classify(a: GradedAlgebra) -> ClassificationReport:
     """Type I-IV report for a graded division algebra."""
-    cached = a._mul_cache.get("classification")
-    if cached is not None:
-        return cached
-    report = _classify(a)
-    a._mul_cache["classification"] = report
-    return report
+    if a._classification is None:
+        a._classification = _classify(a)
+    return a._classification
 
 
 def _classify(a: GradedAlgebra) -> ClassificationReport:
@@ -520,16 +572,17 @@ def _classify(a: GradedAlgebra) -> ClassificationReport:
                                     notes=["regular grading, real e-component"])
     if d_e == 4:
         dom = supp.elements
+        bases = {h: a.component_basis(h) for h in dom}
         values = {}
         for g in dom:
+            products = _hall_products(a, g)
             for h in dom:
-                lam = bicharacter_via_hall(a, g, h)
+                lam = _hall_factor(products, bases[h])
                 if lam is None:
                     raise InvariantViolation(
                         f"inconsistent structure: no Hall factor at ({g}, {h})")
                 values[(g, h)] = lam
-        table = BicharTable(dom, values, "real",
-                            violations=_axiom_violations(dom, values))
+        table = BicharTable.checked(dom, values)
         if table.violations:
             raise InvariantViolation(
                 "inconsistent structure: " + "; ".join(table.violations))

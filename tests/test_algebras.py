@@ -142,6 +142,45 @@ def test_pauli_matches_clock_shift_model(nk):
     assert table_matches_model(catalog("pauli", n, k), clock_shift_model(n, k))
 
 
+def pauli_table_by_inversion(n, k):
+    """pauli(n, k)'s table as first built: real and imaginary parts of each
+    entry's root of unity taken by CycloScalar.real_part / imag_part."""
+    cond = 4 * n // np.gcd(4, n)
+    idx = lambda a_, b, s: (a_ * n + b) * 2 + s
+    table = {}
+    for a_, b, s in itertools.product(range(n), range(n), range(2)):
+        for c, d, t in itertools.product(range(n), range(n), range(2)):
+            power = (s + t) * (cond // 4) - k * b * c * (cond // n)
+            z = CycloScalar.root_of_unity(cond, power)
+            target = ((a_ + c) % n, (b + d) % n)
+            table[(idx(a_, b, s), idx(c, d, t))] = tuple(
+                (idx(*target, part), v)
+                for part, v in enumerate((z.real_part(), z.imag_part()))
+                if not v.is_zero())
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_table_equals_the_construction_by_inversion(n):
+    for k in range(1, n + 1):
+        if np.gcd(k, n) != 1:
+            continue
+        a = catalog("pauli", n, k)
+        want = pauli_table_by_inversion(n, k)
+        assert a.table == {ij: e for ij, e in want.items() if e}
+        assert all(s.conductor == a.conductor
+                   for entries in a.table.values() for _, s in entries)
+
+
+@pytest.mark.parametrize("name", ["M2C_Z4", "M4_4"])
+def test_basis_product_is_the_element_product(name):
+    a = catalog(name)
+    for i in range(a.dim):
+        for j in range(a.dim):
+            assert a.basis_product(i, j).coeffs == \
+                (a.basis_element(i) * a.basis_element(j)).coeffs
+
+
 @pytest.mark.parametrize("name,params", [("M2C_Z4", ()), ("M4_4", ()),
                                          ("pauli", (3, 1))],
                          ids=["M2C_Z4", "M4_4", "pauli(3,1)"])
@@ -230,6 +269,13 @@ def test_validate_catches_nonassociativity():
     rep = validate(bad)
     assert not rep.ok
     assert any("associativity" in f for f in rep.failures)
+    # the same triples, in the same order, as a direct check of every triple
+    basis = [bad.basis_element(i) for i in range(bad.dim)]
+    want = [f"associativity fails at ({bad.labels[i]},{bad.labels[j]},"
+            f"{bad.labels[k]})"
+            for i, j, k in itertools.product(range(bad.dim), repeat=3)
+            if (basis[i] * basis[j]) * basis[k] != basis[i] * (basis[j] * basis[k])]
+    assert want and rep.failures == want
 
 
 def test_division_check_rejects_matrix_units():

@@ -6,6 +6,8 @@ shift matrices); the equivalence verdicts are cross-validated against
 brute-force identity comparison here and exhaustively in the selftest.
 """
 
+import re
+
 import pytest
 
 from gradedpi.algebras import (TripleSpec, catalog, matrix_over_division,
@@ -14,7 +16,8 @@ from gradedpi.errors import InvariantViolation, PreconditionError
 from gradedpi.groups import Subgroup, make_group, make_hom
 from gradedpi.identities import same_identities_up_to
 from gradedpi.scalars import CycloScalar
-from gradedpi.structure import (bicharacter_table, bicharacter_via_hall,
+from gradedpi.structure import (BicharTable, bicharacter_table,
+                                bicharacter_via_hall,
                                 central_support, classify, commutation_factor,
                                 commuting_support, complex_commutation_factor,
                                 division_part_support, equiv_division,
@@ -151,6 +154,108 @@ def test_pauli_tables_conjugate_pair():
     assert not ta.is_real()
 
 
+def test_complex_table_validates_the_unit():
+    a = catalog("pauli", 3, 1)
+    with pytest.raises(PreconditionError, match="J\\^2 is not minus the unit"):
+        bicharacter_table(a, a.support_subgroup(), "complex", a.one())
+    h4 = catalog("H4")
+    with pytest.raises(PreconditionError, match="not central"):
+        bicharacter_table(h4, [h4.group.identity], "complex",
+                          h4.basis_element(1))
+
+
+def _cell_by_cell(a, dom, factor):
+    """{(g, h): factor(g, h)} in table order, stopping at the first None."""
+    values = {}
+    for g in dom:
+        for h in dom:
+            lam = factor(g, h)
+            if lam is None:
+                return values, (g, h)
+            values[(g, h)] = lam
+    return values, None
+
+
+@pytest.mark.parametrize("name,params", [("pauli", (3, 1)), ("pauli", (4, 1)),
+                                         ("M2C_Z4", ())],
+                         ids=["pauli(3,1)", "pauli(4,1)", "M2C_Z4"])
+def test_complex_table_equals_the_public_factor_cell_by_cell(name, params):
+    a = catalog(name, *params)
+    j = find_complex_unit(a)
+    supp, cs = a.support_subgroup(), central_support(a)
+    for dom in {supp, cs}:
+        want, missing = _cell_by_cell(
+            a, dom.elements,
+            lambda g, h: complex_commutation_factor(a, g, h, j))
+        # only M2C_Z4 on its full support has a pair without a factor
+        assert (missing is not None) == (name == "M2C_Z4" and dom == supp)
+        if missing is not None:
+            pair = re.escape(f"pair ({missing[0]}, {missing[1]})")
+            with pytest.raises(PreconditionError, match=pair):
+                bicharacter_table(a, dom, "complex", j)
+            continue
+        t = bicharacter_table(a, dom, "complex", j)
+        assert t.values.keys() == want.keys()
+        for key, lam in want.items():
+            assert t.values[key] == lam and t.values[key].conductor == lam.conductor
+
+
+@pytest.mark.parametrize("name", ["M4_4", "quat_trivial"])
+def test_hall_table_equals_the_public_hall_factor_cell_by_cell(name):
+    a = catalog(name)
+    table = classify(a).bichar
+    want, missing = _cell_by_cell(
+        a, table.domain, lambda g, h: bicharacter_via_hall(a, g, h))
+    assert missing is None
+    assert table.values == want
+    assert table.violations == ()
+
+
+def _reference_violations(dom, values):
+    # the axioms checked cell by cell on the values themselves
+    out = []
+    one = CycloScalar.one(1)
+    for g in dom:
+        for h in dom:
+            if values[(g, h)] * values[(h, g)] != one:
+                out.append(f"skew symmetry fails at ({g}, {h})")
+    for g in dom:
+        for h in dom:
+            if g * h in dom:
+                for k in dom:
+                    if values[(g * h, k)] != values[(g, k)] * values[(h, k)]:
+                        out.append(f"multiplicativity fails at ({g}, {h}; {k})")
+    return tuple(out)
+
+
+def test_corrupted_table_reports_both_axioms():
+    a = catalog("H4")
+    good = bicharacter_table(a, a.support_subgroup())
+    g, h = elem(a, (1, 0)), elem(a, (0, 1))
+    values = dict(good.values)
+    values[(g, h)] = CycloScalar.one(1)  # was -1
+    bad = BicharTable.checked(good.domain, values)
+    assert "skew symmetry fails at ((1,0), (0,1))" in bad.violations
+    assert "skew symmetry fails at ((0,1), (1,0))" in bad.violations
+    assert "multiplicativity fails at ((1,0), (0,1); (0,1))" in bad.violations
+    assert bad.violations == _reference_violations(good.domain, values)
+    assert good.violations == ()
+
+
+def test_axioms_compare_values_across_conductors():
+    # equal values stored at different conductors are interned as one
+    a = catalog("pauli", 3, 1)
+    t = classify(a).bichar
+    values = {k: (v.promote(24) if i % 3 == 0 else v)
+              for i, (k, v) in enumerate(t.values.items())}
+    assert BicharTable.checked(t.domain, values).violations == ()
+    g, h = t.domain[1], t.domain[3]
+    values[(g, h)] = t.values[(g, h)].conjugate().promote(36)
+    bad = BicharTable.checked(t.domain, values)
+    assert bad.violations
+    assert bad.violations == _reference_violations(t.domain, values)
+
+
 def test_hall_bicharacter_on_quaternion_e_component():
     a = catalog("M4_4")
     g, h = elem(a, (1, 0)), elem(a, (0, 1))
@@ -234,7 +339,10 @@ def test_classify_type_ii_standard_vs_quotient():
 
 def test_classify_caches_on_the_algebra():
     a = catalog("H4")
+    assert a._classification is None
     assert classify(a) is classify(a)
+    assert a._classification is classify(a)
+    assert "classification" not in a._mul_cache
 
 
 def test_classify_rejects_non_division():
