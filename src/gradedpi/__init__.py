@@ -16,7 +16,7 @@ from .groups import (FinAbGroup, GroupElement, GroupHom, Subgroup, cosets,
 from .identities import (EquivalenceReport, GradedPolynomial, IdentitySpace,
                          VarRef, evaluate, identity_space, is_identity,
                          parse_polynomial, same_identities_up_to, theta_image)
-from .scalars import CycloScalar, RationalMatrix, sqrt_of_rational_in_field
+from .scalars import CycloScalar, sqrt_of_rational_in_field
 from .specfile import (load_algebra_file, parse_algebra, parse_triple,
                        serialize_algebra)
 from .structure import (BicharTable, ClassificationReport, EquivDivisionReport,
@@ -34,7 +34,7 @@ __all__ = [
     "FinAbGroup", "GradedAlgebra", "GradedPIError", "GradedPolynomial",
     "GroupElement", "GroupHom", "IdentitySpace", "InadmissibleSubstitution",
     "InvariantViolation", "MatrixEquivReport", "PolynomialSyntaxError",
-    "PreconditionError", "RationalMatrix", "SpecFormatError", "Subgroup",
+    "PreconditionError", "SpecFormatError", "Subgroup",
     "TripleSpec", "VarRef", "bicharacter_table", "cached_identity_space",
     "catalog", "catalog_names", "central_support", "check_graded_division",
     "classify", "commutation_factor", "complex_commutation_factor", "cosets",

@@ -40,7 +40,7 @@ class GradedAlgebra:
 
     __slots__ = ("group", "conductor", "labels", "degrees", "table", "unit",
                  "provenance", "_components", "_mul_cache", "_integer_products",
-                 "_classification")
+                 "_classification", "_serial_digest")
 
     def __init__(self, group: FinAbGroup, conductor: int, labels, degrees,
                  table, unit, provenance: str | None = None):
@@ -54,13 +54,17 @@ class GradedAlgebra:
             if g.group != group:
                 raise PreconditionError(f"degree {g} outside the grading group")
         norm_table = {}
+        real: dict = {}  # is_real by coordinates: a table has few constants
         for (i, j), entries in table.items():
             out = []
             for k, s in entries:
                 s = CycloScalar.coerce(s, conductor)
                 if s.conductor != conductor:
                     s = s.promote(conductor)
-                if not s.is_real():
+                ok = real.get(s.coeffs)
+                if ok is None:
+                    ok = real[s.coeffs] = s.is_real()
+                if not ok:
                     raise PreconditionError(
                         f"structure constant for ({labels[i]},{labels[j]}) is not real")
                 if not s.is_zero():
@@ -93,11 +97,12 @@ class GradedAlgebra:
         for idx, g in enumerate(degrees):
             comps.setdefault(g, []).append(idx)
         self._components = {g: tuple(v) for g, v in comps.items()}
-        # memo state: identity spaces by degree tuple, the compiled table, and
-        # the structure.classify report
+        # memo state: identity spaces by degree tuple, the compiled table, the
+        # structure.classify report, and the digest behind cache.space_key
         self._mul_cache = {}
         self._integer_products = None
         self._classification = None
+        self._serial_digest = None
 
     # -- basic queries ---------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Persistent cache for identity spaces, keyed by content hashes.
 
-A cache entry stores the kernel of the multilinear evaluation map for one
-(algebra, degree tuple) pair.  Keys hash the algebra's canonical
-serialization together with the degree tuple, so equal inputs share entries
-across processes.  Writes go through a temporary file and an atomic rename;
-corrupt or unreadable entries count as misses and are reported on stderr.
+A cache entry stores the image of the multilinear evaluation map (the
+canonical row space whose annihilator is the identity space) for one
+(algebra, degree tuple) pair.  Keys hash the payload format, the algebra's
+canonical serialization and the degree tuple, so equal inputs share entries
+across processes and entries of another format are plain misses.  Writes go
+through a temporary file and an atomic rename; corrupt or unreadable entries
+count as misses and are reported on stderr.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from fractions import Fraction
 
 from .algebras import GradedAlgebra
 from .identities import IdentitySpace, identity_space
-from .scalars import RationalMatrix
 from .specfile import canonical_serialization
 
 ENV_CACHE_DIR = "GRADEDPI_CACHE_DIR"
+PAYLOAD_FORMAT = 2
 
 
 def default_cache_dir() -> str:
@@ -41,31 +43,63 @@ class CacheEntry:
     value: dict
 
 
+def _algebra_digest(a: GradedAlgebra) -> str:
+    # serialising is slow (every constant is reduced), so once per algebra
+    if a._serial_digest is None:
+        a._serial_digest = hashlib.sha256(
+            canonical_serialization(a).encode("utf-8")).hexdigest()
+    return a._serial_digest
+
+
 def space_key(a: GradedAlgebra, degrees) -> str:
-    text = canonical_serialization(a) + "\ndegrees " + \
+    text = f"format {PAYLOAD_FORMAT}\nalgebra {_algebra_digest(a)}\ndegrees " + \
         " ".join(str(tuple(g.exps)) for g in degrees)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def serialize_space(space: IdentitySpace) -> dict:
     return {
-        "format": 1,
+        "format": PAYLOAD_FORMAT,
         "degrees": [list(g.exps) for g in space.degrees],
-        "ncols": space.kernel.ncols,
-        "kernel": [[str(q) for q in row] for row in space.kernel.rows],
+        "ncols": space.ncols,
+        "image": [[str(q) for q in row] for row in space.image],
     }
 
 
-def space_from_payload(a: GradedAlgebra, payload: dict) -> IdentitySpace:
-    degrees = tuple(a.group.element(tuple(e)) for e in payload["degrees"])
+def _check_canonical(rows, ncols: int):
+    """Raise ValueError unless rows are a reduced row echelon form."""
+    pivots = []
+    for row in rows:
+        if len(row) != ncols:
+            raise ValueError("ragged image row")
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None or row[lead] != 1:
+            raise ValueError("image row without a leading 1")
+        if pivots and lead <= pivots[-1]:
+            raise ValueError("image pivots are not strictly increasing")
+        pivots.append(lead)
+    if any(sum(1 for row in rows if row[c]) != 1 for c in pivots):
+        raise ValueError("image pivot column is not zero in another row")
+
+
+def space_from_payload(payload: dict, degrees) -> IdentitySpace:
+    """The identity space stored in payload for the requested degree tuple.
+
+    Raises ValueError (or KeyError, TypeError) when the payload has another
+    format, another degree tuple, or an image that is not in canonical form.
+    """
+    if payload["format"] != PAYLOAD_FORMAT:
+        raise ValueError(f"payload format {payload['format']!r} is not "
+                         f"{PAYLOAD_FORMAT}")
+    degrees = tuple(degrees)
+    if [list(g.exps) for g in degrees] != payload["degrees"]:
+        raise ValueError("payload degrees differ from the requested tuple")
     ncols = int(payload["ncols"])
     if ncols != math.factorial(len(degrees)):
         raise ValueError("column count does not match the degree tuple")
-    rows = [[Fraction(s) for s in row] for row in payload["kernel"]]
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged kernel row")
-    return IdentitySpace(degrees, RationalMatrix(rows, ncols))
+    rows = [tuple(Fraction(s) for s in row) for row in payload["image"]]
+    _check_canonical(rows, ncols)
+    return IdentitySpace(degrees, rows)
 
 
 def _entry_path(directory: str, key: str) -> str:
@@ -120,7 +154,7 @@ def cached_identity_space(a: GradedAlgebra, degrees, enabled: bool = True,
     entry = cache_get(key, directory)
     if entry is not None:
         try:
-            space = space_from_payload(a, entry.value)
+            space = space_from_payload(entry.value, degrees)
         except (ValueError, KeyError, TypeError, ZeroDivisionError) as err:
             print(f"gradedpi: ignoring corrupt cache entry {key[:12]}...: {err}",
                   file=sys.stderr)

@@ -4,8 +4,9 @@ Identity spaces are computed over the rationals although the algebras are
 real: for a fixed degree tuple the vanishing conditions form a linear system
 with rational coefficients (structure constants are expanded over the power
 basis of the cyclotomic field), so the real solution space is spanned by the
-rational kernel.  Comparing canonical rational kernels therefore decides
-equality of the real identity spaces.
+rational kernel.  That kernel is the annihilator of the system's row space
+(the image of the evaluation map), so comparing canonical rational images
+decides equality of the real identity spaces.
 
 For non-multilinear polynomials, `is_identity` substitutes generic elements
 (indeterminate real coefficients on each component basis) and checks that the
@@ -16,14 +17,15 @@ to vanishing under all substitutions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import AlgebraElement, GradedAlgebra
-from .errors import (InadmissibleSubstitution, PolynomialSyntaxError,
-                     PreconditionError)
+from .errors import (InadmissibleSubstitution, InvariantViolation,
+                     PolynomialSyntaxError, PreconditionError)
 from .groups import FinAbGroup, GroupElement, GroupHom
-from .scalars import CycloScalar, RationalMatrix, RowReducer
+from .scalars import CycloScalar, RowReducer
 
 
 @dataclass(frozen=True)
@@ -294,18 +296,22 @@ def monomial_order(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 class IdentitySpace:
-    """Kernel of the multilinear evaluation map at a fixed degree tuple.
+    """Multilinear identities at a fixed degree tuple, held by their image.
 
-    kernel rows are coefficient vectors over the lex-ordered permutation
-    monomials; the matrix is in canonical reduced row echelon form, so two
-    spaces at tuples of the same length agree exactly when the matrices do.
+    image rows span the row space of the evaluation map over the lex-ordered
+    permutation monomials, in canonical reduced row echelon form; the
+    identities are the vectors orthogonal to every image row.  Two spaces at
+    tuples of the same length agree exactly when their images do.  kernel,
+    the identities' own canonical basis, is computed on first use.
     """
 
-    __slots__ = ("degrees", "kernel")
+    __slots__ = ("degrees", "ncols", "image", "_kernel")
 
-    def __init__(self, degrees: tuple[GroupElement, ...], kernel: RationalMatrix):
+    def __init__(self, degrees: tuple[GroupElement, ...], image):
         self.degrees = tuple(degrees)
-        self.kernel = kernel
+        self.ncols = math.factorial(len(self.degrees))
+        self.image = tuple(image)
+        self._kernel = None
 
     @property
     def nvars(self) -> int:
@@ -313,13 +319,25 @@ class IdentitySpace:
 
     @property
     def dimension(self) -> int:
-        return self.kernel.nrows
+        return self.ncols - len(self.image)
+
+    @property
+    def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The identities' basis in canonical reduced row echelon form."""
+        if self._kernel is None:
+            reducer = RowReducer(self.ncols)
+            for row in self.image:
+                reducer.add(row)
+            self._kernel = tuple(reducer.nullspace_rows())
+        return self._kernel
 
     def monomials(self) -> tuple[tuple[int, ...], ...]:
         return monomial_order(self.nvars)
 
     def contains_vector(self, vec) -> bool:
-        return self.kernel.row_space_contains(vec)
+        """Is vec (over the monomials) orthogonal to every image row?"""
+        return not any(sum(x * y for x, y in zip(row, vec) if x)
+                       for row in self.image)
 
     def coefficient_vector(self, f: GradedPolynomial) -> list[Fraction]:
         """Coefficients of f over the permutation monomials of this space."""
@@ -342,25 +360,23 @@ class IdentitySpace:
     def contains(self, f: GradedPolynomial) -> bool:
         return self.contains_vector(self.coefficient_vector(f))
 
+    def _polynomial(self, vec) -> GradedPolynomial:
+        """The polynomial in variables x[g_i, i+1] with coefficients vec."""
+        terms = {tuple(VarRef(self.degrees[p], p + 1) for p in perm): c
+                 for perm, c in zip(self.monomials(), vec) if c}
+        return GradedPolynomial(self.degrees[0].group, terms)
+
     def polynomials(self) -> list[GradedPolynomial]:
         """Basis of the space as polynomials in variables x[g_i, i+1]."""
-        out = []
-        group = self.degrees[0].group if self.degrees else None
-        for row in self.kernel.rows:
-            terms = {}
-            for perm, c in zip(self.monomials(), row):
-                if c:
-                    terms[tuple(VarRef(self.degrees[p], p + 1) for p in perm)] = c
-            out.append(GradedPolynomial(group, terms))
-        return out
+        return [self._polynomial(row) for row in self.kernel]
 
     def __eq__(self, other):
         if not isinstance(other, IdentitySpace):
             return NotImplemented
-        return self.nvars == other.nvars and self.kernel == other.kernel
+        return self.nvars == other.nvars and self.image == other.image
 
     def __hash__(self):
-        return hash((self.nvars, self.kernel))
+        return hash((self.nvars, self.image))
 
     def __repr__(self):
         return f"IdentitySpace({self.degrees}, dim {self.dimension})"
@@ -382,7 +398,7 @@ def _word_product(products, prefixes: dict, word: list[int]) -> dict:
     return products.times(head, word[-1]) if head else head
 
 
-def identity_space(a: GradedAlgebra, degrees, use_cache: bool = True) -> IdentitySpace:
+def identity_space(a: GradedAlgebra, degrees) -> IdentitySpace:
     """All multilinear identities of a at the given degree tuple."""
     degrees = tuple(degrees)
     if not degrees:
@@ -390,22 +406,20 @@ def identity_space(a: GradedAlgebra, degrees, use_cache: bool = True) -> Identit
     for g in degrees:
         if g.group != a.group:
             raise PreconditionError(f"degree {g} outside the grading group")
-    if use_cache:
-        hit = a._mul_cache.get(degrees)
-        if hit is not None:
-            return hit
-    n = len(degrees)
-    perms = monomial_order(n)
-    ncols = len(perms)
+    hit = a._mul_cache.get(degrees)
+    if hit is not None:
+        return hit
     comps = [a.component(g) for g in degrees]
     if any(not c for c in comps):
-        ident = RationalMatrix(
-            [[Fraction(1 if i == j else 0) for j in range(ncols)] for i in range(ncols)])
-        space = IdentitySpace(degrees, ident)
+        # a variable of an empty component vanishes: every polynomial is an
+        # identity and the evaluation map is zero
+        space = IdentitySpace(degrees, ())
     else:
         # Words are evaluated on the integer table, which scales each word of
         # length n by scale^(n-1): every row below is scaled by that same
-        # nonzero factor, so the row space and the kernel do not change.
+        # nonzero factor, so the row space does not change.
+        perms = monomial_order(len(degrees))
+        ncols = len(perms)
         products = a.integer_products()
         prefixes: dict = {}
         reducer = RowReducer(ncols)
@@ -424,9 +438,8 @@ def identity_space(a: GradedAlgebra, degrees, use_cache: bool = True) -> Identit
                 reducer.add(row)
             if reducer.rank == ncols:
                 break
-        space = IdentitySpace(degrees, RationalMatrix(reducer.nullspace_rows(), ncols))
-    if use_cache:
-        a._mul_cache[degrees] = space
+        space = IdentitySpace(degrees, reducer.sorted_rows())
+    a._mul_cache[degrees] = space
     return space
 
 
@@ -445,15 +458,10 @@ class EquivalenceReport:
 
 
 def _find_witness(space_small: IdentitySpace, space_big: IdentitySpace):
-    """A kernel row of space_small outside space_big, or None."""
-    for row in space_small.kernel.rows:
+    """A kernel row of space_small outside space_big, as a polynomial, or None."""
+    for row in space_small.kernel:
         if not space_big.contains_vector(row):
-            terms = {}
-            for perm, c in zip(space_small.monomials(), row):
-                if c:
-                    mono = tuple(VarRef(space_small.degrees[p], p + 1) for p in perm)
-                    terms[mono] = c
-            return GradedPolynomial(space_small.degrees[0].group, terms)
+            return space_small._polynomial(row)
     return None
 
 
@@ -511,11 +519,15 @@ def same_identities_up_to(a: GradedAlgebra, b: GradedAlgebra, max_degree: int = 
                     witness=f, holds_in=names[0], fails_in=names[1],
                     witness_substitution=_witness_substitution(f, b))
             f = _find_witness(sb, sa)
+            if f is None:
+                raise InvariantViolation(
+                    f"identity spaces at degree tuple {multiset} compare "
+                    f"unequal but neither lacks an identity of the other")
             return EquivalenceReport(
                 False, max_degree,
                 detail=f"identity spaces differ at degree tuple {multiset}",
                 witness=f, holds_in=names[1], fails_in=names[0],
-                witness_substitution=_witness_substitution(f, a) if f else None)
+                witness_substitution=_witness_substitution(f, a))
     return EquivalenceReport(
         True, max_degree,
         detail=f"identity spaces agree at all {checked} degree tuples "

@@ -554,68 +554,6 @@ def _solve_exact(aug_rows: list[list[Fraction]], nvars: int):
     return [pivots[j][nvars] for j in range(nvars)]
 
 
-# -- exact rational matrices --------------------------------------------
-
-
-class RationalMatrix:
-    """Immutable matrix over Q; canonical comparisons happen in RREF."""
-
-    __slots__ = ("rows", "ncols")
-
-    def __init__(self, rows, ncols=None):
-        tup = tuple(tuple(v if v.__class__ is Fraction else Fraction(v) for v in r)
-                    for r in rows)
-        if ncols is None:
-            if not tup:
-                raise PreconditionError("ncols required for an empty matrix")
-            ncols = len(tup[0])
-        if any(len(r) != ncols for r in tup):
-            raise PreconditionError("ragged matrix rows")
-        object.__setattr__(self, "rows", tup)
-        object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("RationalMatrix is immutable")
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    def rref(self) -> "RationalMatrix":
-        red = RowReducer(self.ncols)
-        for r in self.rows:
-            red.add(list(r))
-        return RationalMatrix(red.sorted_rows(), self.ncols)
-
-    def rank(self) -> int:
-        return len(self.rref().rows)
-
-    def nullspace(self) -> "RationalMatrix":
-        """RREF basis of {v : M v = 0}, rows are basis vectors."""
-        red = RowReducer(self.ncols)
-        for r in self.rows:
-            red.add(list(r))
-        return RationalMatrix(red.nullspace_rows(), self.ncols)
-
-    def row_space_contains(self, vector) -> bool:
-        red = RowReducer(self.ncols)
-        for r in self.rows:
-            red.add(list(r))
-        residue = red.reduce([Fraction(v) for v in vector])
-        return all(not v for v in residue)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.ncols == other.ncols and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.ncols, self.rows))
-
-    def __repr__(self):
-        return f"RationalMatrix({self.nrows}x{self.ncols})"
-
-
 def _integer_row(row) -> list[int]:
     # A row of ints or Fractions, scaled by the lcm of its denominators.
     den = 1

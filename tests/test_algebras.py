@@ -256,6 +256,22 @@ def test_validate_catches_degree_violation():
     assert any("degree violation" in f for f in rep.failures)
 
 
+def test_non_real_constants_are_rejected_by_name():
+    g = make_group((1,))
+    e = g.identity
+    i = CycloScalar.root_of_unity(4, 1)
+    # the real constant 1 repeats before and after the first non-real entry,
+    # which is named even though the same value appears again later
+    table = {(0, 0): ((0, 1),), (0, 1): ((1, 1),), (1, 0): ((1, 1),),
+             (1, 1): ((0, i),), (1, 2): ((0, i),), (0, 2): ((2, 1),),
+             (2, 0): ((2, 1),)}
+    with pytest.raises(PreconditionError,
+                       match=r"^structure constant for \(x,x\) is not real$"):
+        GradedAlgebra(g, 4, ("u", "x", "y"), (e, e, e), table, {0: 1})
+    with pytest.raises(PreconditionError, match="^unit coefficient is not real$"):
+        GradedAlgebra(g, 4, ("u",), (e,), {(0, 0): ((0, 1),)}, {0: i})
+
+
 def test_validate_catches_nonassociativity():
     g = make_group((1,))
     e = g.identity

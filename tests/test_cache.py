@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from gradedpi import cache
 from gradedpi.algebras import catalog
 from gradedpi.cache import (ENV_CACHE_DIR, CacheEntry, cache_get, cache_put,
                             cached_identity_space, default_cache_dir,
@@ -28,13 +29,28 @@ def test_key_is_stable_and_content_addressed():
     assert k1 != space_key(catalog("M2_4"), degs)
 
 
+def test_key_serialises_each_algebra_once(monkeypatch):
+    calls = []
+    real = cache.canonical_serialization
+    monkeypatch.setattr(cache, "canonical_serialization",
+                        lambda a: calls.append(a) or real(a))
+    a = catalog("H4")
+    degs = degrees_of(a, (0, 0), (1, 0))
+    keys = {space_key(a, degs) for _ in range(3)}
+    space_key(a, degrees_of(a, (1, 0)))
+    assert len(keys) == 1 and calls == [a]
+    space_key(catalog("H4"), degs)  # another object serialises again
+    assert len(calls) == 2
+
+
 def test_serialize_space_round_trip_is_exact(tmp_path):
     a = catalog("M2C_Z4")
     degs = degrees_of(a, (1,), (1,), (2,))
-    space = identity_space(a, degs, use_cache=False)
+    space = identity_space(a, degs)
     payload = serialize_space(space)
-    back = space_from_payload(a, payload)
+    back = space_from_payload(payload, degs)
     assert back == space
+    assert back.image == space.image
     assert back.kernel == space.kernel
     # byte-identical reserialization
     assert json.dumps(serialize_space(back), sort_keys=True) == \
@@ -45,13 +61,13 @@ def test_cache_put_get_round_trip(tmp_path):
     d = str(tmp_path)
     a = catalog("H4")
     degs = degrees_of(a, (1, 0), (0, 1))
-    space = identity_space(a, degs, use_cache=False)
+    space = identity_space(a, degs)
     key = space_key(a, degs)
     cache_put(key, serialize_space(space), directory=d)
     entry = cache_get(key, directory=d)
     assert isinstance(entry, CacheEntry)
     assert entry.key == key
-    assert space_from_payload(a, entry.value) == space
+    assert space_from_payload(entry.value, degs) == space
 
 
 def test_cache_get_missing_is_none(tmp_path):
@@ -74,8 +90,7 @@ def test_key_mismatch_inside_entry_is_corruption(tmp_path, capsys):
     a = catalog("H4")
     degs = degrees_of(a, (0, 0),)
     key = space_key(a, degs)
-    cache_put(key, serialize_space(identity_space(a, degs, use_cache=False)),
-              directory=d)
+    cache_put(key, serialize_space(identity_space(a, degs)), directory=d)
     other = "b" * 64
     os.rename(os.path.join(d, key + ".json"), os.path.join(d, other + ".json"))
     assert cache_get(other, directory=d) is None
@@ -87,8 +102,7 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
     a = catalog("H4")
     degs = degrees_of(a, (0, 0), (0, 0))
     cache_put(space_key(a, degs),
-              serialize_space(identity_space(a, degs, use_cache=False)),
-              directory=d)
+              serialize_space(identity_space(a, degs)), directory=d)
     names = os.listdir(d)
     assert len(names) == 1 and names[0].endswith(".json")
 
@@ -115,19 +129,58 @@ def test_cached_identity_space_disabled(tmp_path):
     assert not os.listdir(d) if os.path.isdir(d) else True
 
 
-def test_bad_payload_shape_is_corruption(tmp_path, capsys):
-    d = str(tmp_path)
+def assert_entry_is_replaced(d, degs, payload, capsys):
+    """A payload planted for H4 at degs is reported as corrupt, recomputed
+    and overwritten."""
     a = catalog("H4")
-    degs = degrees_of(a, (0, 0), (0, 0))
     key = space_key(a, degs)
-    cache_put(key, {"format": 1, "degrees": [[0, 0], [0, 0]], "ncols": 99,
-                    "kernel": [["1"]]}, directory=d)
+    cache_put(key, payload, directory=d)
     s = cached_identity_space(a, degs, directory=d)
     assert "corrupt" in capsys.readouterr().err
-    assert s == identity_space(a, degs, use_cache=False)
-    # the bad entry was replaced by a good one
+    assert s == identity_space(catalog("H4"), degs)  # computed afresh
     entry = cache_get(key, directory=d)
-    assert space_from_payload(a, entry.value) == s
+    assert space_from_payload(entry.value, degs) == s
+
+
+def h4_degrees(*exps):
+    return degrees_of(catalog("H4"), *exps)
+
+
+def test_bad_payload_shape_is_corruption(tmp_path, capsys):
+    assert_entry_is_replaced(
+        str(tmp_path), h4_degrees((0, 0), (0, 0)),
+        {"format": 2, "degrees": [[0, 0], [0, 0]], "ncols": 99,
+         "image": [["1"]]}, capsys)
+
+
+def test_payload_of_another_format_is_corruption(tmp_path, capsys):
+    degs = h4_degrees((1, 0), (0, 1))
+    payload = serialize_space(identity_space(catalog("H4"), degs))
+    payload["format"] = 1
+    assert_entry_is_replaced(str(tmp_path), degs, payload, capsys)
+
+
+def test_payload_for_another_degree_tuple_is_corruption(tmp_path, capsys):
+    degs = h4_degrees((1, 0), (0, 1))
+    other = h4_degrees((1, 0), (1, 0))  # same length, other identities
+    payload = serialize_space(identity_space(catalog("H4"), other))
+    assert payload["image"] != \
+        serialize_space(identity_space(catalog("H4"), degs))["image"]
+    assert_entry_is_replaced(str(tmp_path), degs, payload, capsys)
+
+
+@pytest.mark.parametrize("image", [
+    [["2", "-2"]],              # leading entry not 1
+    [["0", "0"]],               # zero row, no leading entry
+    [["0", "1"], ["1", "0"]],   # pivot columns not increasing
+    [["1", "1"], ["0", "1"]],   # pivot column nonzero in another row
+    [["1", "-1", "0"]],         # ragged row
+], ids=["lead", "zero-row", "order", "pivot-column", "ragged"])
+def test_non_canonical_image_is_corruption(tmp_path, capsys, image):
+    payload = {"format": 2, "degrees": [[1, 0], [0, 1]], "ncols": 2,
+               "image": image}
+    assert_entry_is_replaced(str(tmp_path), h4_degrees((1, 0), (0, 1)),
+                             payload, capsys)
 
 
 def test_env_var_controls_default_dir(monkeypatch, tmp_path):

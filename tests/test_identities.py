@@ -16,15 +16,16 @@ from hypothesis import strategies as st
 
 from gradedpi.algebras import (TripleSpec, catalog, matrix_over_division,
                                trivially_graded_reals)
-from gradedpi.errors import (InadmissibleSubstitution, PolynomialSyntaxError,
-                             PreconditionError)
+from gradedpi.errors import (InadmissibleSubstitution, InvariantViolation,
+                             PolynomialSyntaxError, PreconditionError)
 from gradedpi.groups import Subgroup, make_group, make_hom
-from gradedpi.identities import (GradedPolynomial, VarRef, evaluate,
-                                 identity_space, is_identity, monomial_order,
-                                 parse_polynomial, same_identities_up_to,
-                                 theta_image)
+from gradedpi.identities import (GradedPolynomial, IdentitySpace, VarRef,
+                                 evaluate, identity_space, is_identity,
+                                 monomial_order, parse_polynomial,
+                                 same_identities_up_to, theta_image)
 from test_algebras import (clock_shift_model, numeric_scalar, quaternion_model,
                            sylvester_model, table_matches_model)
+from test_scalars import _reference_nullspace
 
 
 def numeric_model(a, model):
@@ -265,8 +266,45 @@ def test_identity_space_caches():
     s1 = identity_space(a, (e, e))
     s2 = identity_space(a, (e, e))
     assert s1 is s2
-    s3 = identity_space(a, (e, e), use_cache=False)
+    s3 = identity_space(catalog("C2"), (e, e))  # computed afresh
     assert s3 == s1 and s3 is not s1
+
+
+@pytest.mark.parametrize("params,exps", [
+    (("H4",), ((1, 0), (0, 1), (1, 1))),
+    (("M2C_Z4",), ((1,), (1,), (2,))),
+    (("quat_trivial",), ((0, 0), (0, 0))),
+    (("pauli", 3, 1), ((1, 0), (0, 1), (2, 2))),
+], ids=["H4", "M2C_Z4", "quat_trivial", "pauli(3,1)"])
+def test_kernel_is_the_canonical_annihilator_of_the_image(params, exps):
+    a = catalog(*params)
+    degrees = tuple(a.group.element(x) for x in exps)
+    space = identity_space(a, degrees)
+    want = _reference_nullspace(list(space.image), space.ncols)
+    assert list(space.kernel) == want
+    assert len(space.kernel) == space.dimension
+    assert all(space.contains_vector(row) for row in space.kernel)
+
+
+def test_empty_component_space_has_empty_image():
+    g = make_group((2,))
+    a = trivially_graded_reals(g)
+    space = identity_space(a, (g.identity, g.element((1,))))
+    assert space.image == () and space.dimension == 2
+    assert list(space.kernel) == [(1, 0), (0, 1)]
+
+
+def test_unequal_spaces_without_a_witness_are_an_invariant_violation():
+    a, b = catalog("H4"), catalog("H4")
+    g = a.group
+    degrees = (g.element((0, 1)), g.element((1, 0)))
+    good = identity_space(b, degrees)
+    # the same row space, but not in canonical form: unequal, yet every
+    # identity of either space is an identity of the other
+    a._mul_cache[degrees] = IdentitySpace(
+        degrees, [tuple(2 * x for x in row) for row in good.image])
+    with pytest.raises(InvariantViolation, match="neither lacks"):
+        same_identities_up_to(a, b, 2)
 
 
 def test_identity_space_rejects_foreign_degrees():
@@ -341,7 +379,7 @@ def test_identity_space_dims_match_numpy_oracle(name, algebra_fn, model_fn,
     assert table_matches_model(a, model)
     for exps in tuples:
         degrees = tuple(a.group.element(x) for x in exps)
-        exact = identity_space(a, degrees, use_cache=False)
+        exact = identity_space(a, degrees)
         assert exact.dimension == numeric_identity_dim(a, model, degrees)
 
 
