@@ -61,9 +61,10 @@ class GradedAlgebra:
                 s = CycloScalar.coerce(s, conductor)
                 if s.conductor != conductor:
                     s = s.promote(conductor)
-                ok = real.get(s.coeffs)
+                key = (s.num, s.den)
+                ok = real.get(key)
                 if ok is None:
-                    ok = real[s.coeffs] = s.is_real()
+                    ok = real[key] = s.is_real()
                 if not ok:
                     raise PreconditionError(
                         f"structure constant for ({labels[i]},{labels[j]}) is not real")
@@ -186,8 +187,7 @@ class IntegerProducts:
         scale = 1
         for entries in a.table.values():
             for _, s in entries:
-                for q in s.rational_coordinates():
-                    scale = _lcm(scale, q.denominator)
+                scale = _lcm(scale, s.den)
         zetas = [CycloScalar.root_of_unity(m, t, m) for t in range(totient(m))]
         # multiplication by one scaled constant s, slot t -> ((slot w, int), ...)
         # for zeta^t * s; shared between the table entries with equal constants
@@ -196,12 +196,13 @@ class IntegerProducts:
         for (i, j), entries in a.table.items():
             out = []
             for k, s in entries:
-                mat = shared.get(s.coeffs)
+                key = (s.num, s.den)
+                mat = shared.get(key)
                 if mat is None:
-                    mat = shared[s.coeffs] = tuple(
-                        tuple((w, int(q * scale))
-                              for w, q in enumerate((z * s).coeffs) if q)
-                        for z in zetas)
+                    mat = shared[key] = tuple(
+                        tuple((w, q * (scale // zs.den))
+                              for w, q in enumerate(zs.num) if q)
+                        for zs in (z * s for z in zetas))
                 out.append((k, mat))
             right[j][i] = tuple(out)
         self.phi = len(zetas)
@@ -397,7 +398,10 @@ def _field_rank(rows: list[list[CycloScalar]]) -> int:
     if rows and all(all(c.is_rational() for c in row) for row in rows):
         red = RowReducer(len(rows[0]))
         for row in rows:
-            red.add([c.as_fraction() for c in row])
+            den = 1
+            for c in row:
+                den = _lcm(den, c.den)
+            red.add([c.num[0] * (den // c.den) for c in row])
         return red.rank
     rows = [list(r) for r in rows]
     rank, width = 0, len(rows[0]) if rows else 0

@@ -1,10 +1,13 @@
 """Exact scalars in cyclotomic fields and exact rational linear algebra.
 
-A CycloScalar is an element of Q(zeta_M) stored as a vector of rationals over
-the power basis zeta^0 .. zeta^(phi(M)-1), reduced modulo the M-th cyclotomic
-polynomial.  M is called the conductor.  Values at different conductors are
-compared (and combined) after promotion to the lcm, using the compatible
-embedding zeta_M = zeta_{kM}^k.
+A CycloScalar is an element of Q(zeta_M), reduced modulo the M-th cyclotomic
+polynomial and stored as a primitive integer vector over the power basis
+zeta^0 .. zeta^(phi(M)-1) together with one positive common denominator.  M is
+called the conductor.  Phi_M is monic with integer coefficients, so sums,
+products, Galois maps and promotions run on Python ints alone; each result
+divides out gcd(numerators, denominator), which makes the stored form
+canonical.  Values at different conductors are compared (and combined) after
+promotion to the lcm, using the compatible embedding zeta_M = zeta_{kM}^k.
 
 Real numbers are the conjugation-fixed elements; `sign` decides the sign of a
 nonzero real value exactly, using an algebraic lower bound |x| >= |N(x)| / S^(d-1)
@@ -14,7 +17,6 @@ mpmath evaluation at sufficient precision.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -76,53 +78,103 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    # zeta_m^k expressed over the power basis, for k = 0 .. max(m, 2*phi(m)) - 1.
+def _power_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # zeta_m^k over the power basis, for k = 0 .. max(m, 2*phi(m)) - 1, as the
+    # (slot, value) pairs of its nonzero coordinates.  Phi_m is monic with
+    # integer coefficients, so every coordinate is an int.
     phi = totient(m)
-    top = max(m, 2 * phi)
     phi_m = cyclotomic_polynomial(m)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [_ZERO] * phi
-    cur[0] = _ONE
-    for _ in range(top):
-        rows.append(tuple(cur))
-        nxt = [_ZERO] + cur[:-1]
+    rows = []
+    cur = [1] + [0] * (phi - 1)
+    for _ in range(max(m, 2 * phi)):
+        rows.append(tuple((j, v) for j, v in enumerate(cur) if v))
         lead = cur[-1]
+        cur = [0] + cur[:-1]
         if lead:
             # x^phi = -(lower coefficients of Phi_m)
             for j in range(phi):
-                nxt[j] -= lead * phi_m[j]
-        cur = nxt
+                cur[j] -= lead * phi_m[j]
     return tuple(rows)
 
 
-def _reduce_power(m: int, k: int) -> tuple[Fraction, ...]:
-    return _power_table(m)[k % m]
+def _new(m: int, num: tuple[int, ...], den: int) -> "CycloScalar":
+    # A CycloScalar from coordinates already in canonical form; the `_hash`
+    # slot stays unset until __hash__ fills it.
+    s = object.__new__(CycloScalar)
+    _set_conductor(s, m)
+    _set_num(s, num)
+    _set_den(s, den)
+    return s
+
+
+def _canonical(m: int, num: list[int], den: int) -> "CycloScalar":
+    # Divide out gcd(num..., den); den > 0.  A zero numerator gives den 1.
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return _new(m, tuple(num), den)
+
+
+def _substitute(s: "CycloScalar", m: int, step: int) -> "CycloScalar":
+    # sum of num[k] * zeta_m^(step*k) over k, divided by den, at conductor m.
+    rows = _power_rows(m)
+    out = [0] * totient(m)
+    for k, c in enumerate(s.num):
+        if c:
+            for j, rv in rows[step * k % m]:
+                out[j] += c * rv
+    return _canonical(m, out, s.den)
 
 
 class CycloScalar:
-    """Immutable element of Q(zeta_conductor)."""
+    """Immutable element of Q(zeta_conductor).
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    Stored as `num / den`: `num` holds phi(conductor) ints, the power-basis
+    coordinates scaled by the positive int `den`, with gcd(num..., den) = 1
+    and zero stored as all-zero `num` over 1.  Equal values at one conductor
+    therefore have equal `(num, den)`.  `coeffs` is a Fraction view.
+    """
+
+    __slots__ = ("conductor", "num", "den", "_hash")
 
     def __init__(self, conductor: int, coeffs):
+        """`coeffs` are ints or Fractions, at most phi(conductor) of them."""
         phi = totient(conductor)
-        vec = [_ZERO] * phi
-        for k, c in enumerate(coeffs):
-            if c:
-                vec[k] = c if type(c) is Fraction else Fraction(c)
+        coeffs = list(coeffs)
+        if len(coeffs) > phi:
+            raise PreconditionError(
+                f"{len(coeffs)} coordinates for conductor {conductor}, "
+                f"whose field has degree {phi}")
+        den = 1
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"coordinate {c!r} is a {type(c).__name__}, not an int or a Fraction")
+            if c.denominator != 1:
+                den = _lcm(den, c.denominator)
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        num += [0] * (phi - len(num))
+        g = gcd(den, *num)
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(vec))
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "num", tuple(x // g for x in num))
+        object.__setattr__(self, "den", den // g)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("CycloScalar is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates, as Fractions."""
+        d = self.den
+        return tuple(Fraction(n, d) for n in self.num)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def rational(cls, value, conductor: int = 1) -> "CycloScalar":
-        return cls(conductor, [Fraction(value)] + [_ZERO] * (totient(conductor) - 1))
+        return cls(conductor, [value])
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1, conductor: int | None = None) -> "CycloScalar":
@@ -133,15 +185,18 @@ class CycloScalar:
         if m % order != 0:
             m = _lcm(m, order)
         k = (power % order) * (m // order)
-        return cls(m, _reduce_power(m, k))
+        num = [0] * totient(m)
+        for j, v in _power_rows(m)[k]:
+            num[j] = v
+        return _new(m, tuple(num), 1)
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "CycloScalar":
-        return cls.rational(0, conductor)
+        return _new(conductor, (0,) * totient(conductor), 1)
 
     @classmethod
     def one(cls, conductor: int = 1) -> "CycloScalar":
-        return cls.rational(1, conductor)
+        return _new(conductor, (1,) + (0,) * (totient(conductor) - 1), 1)
 
     # -- conductor handling -------------------------------------------
 
@@ -151,16 +206,7 @@ class CycloScalar:
         if conductor % self.conductor != 0:
             raise PreconditionError(
                 f"cannot promote conductor {self.conductor} to non-multiple {conductor}")
-        r = conductor // self.conductor
-        phi = totient(conductor)
-        out = [_ZERO] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = _reduce_power(conductor, k * r)
-                for j, rv in enumerate(row):
-                    if rv:
-                        out[j] += c * rv
-        return CycloScalar(conductor, out)
+        return _substitute(self, conductor, conductor // self.conductor)
 
     @staticmethod
     def _pair(a: "CycloScalar", b: "CycloScalar"):
@@ -181,7 +227,7 @@ class CycloScalar:
         """Rewrite over the smallest cyclotomic subfield Q(zeta_d), d | conductor."""
         m = self.conductor
         if self.is_rational():
-            return CycloScalar.rational(self.coeffs[0], 1)
+            return _new(1, self.num[:1], self.den)
         for d in sorted(k for k in range(1, m) if m % k == 0):
             if self._is_invariant_over(d):
                 down = self._express_at(d)
@@ -199,61 +245,68 @@ class CycloScalar:
     def _express_at(self, d: int) -> "CycloScalar | None":
         # Solve for coordinates over the promoted basis of Q(zeta_d).
         m, phi_d = self.conductor, totient(d)
-        basis = [CycloScalar.root_of_unity(d, k).promote(m).coeffs for k in range(phi_d)]
-        cols = list(range(totient(m)))
-        mat = [[basis[i][j] for i in range(phi_d)] + [self.coeffs[j]] for j in cols]
+        basis = [CycloScalar.root_of_unity(d, k).promote(m).num for k in range(phi_d)]
+        mat = [[Fraction(basis[i][j]) for i in range(phi_d)] + [Fraction(c, self.den)]
+               for j, c in enumerate(self.num)]
         sol = _solve_exact(mat, phi_d)
         return CycloScalar(d, sol) if sol is not None else None
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
-        try:
-            other = CycloScalar.coerce(other, self.conductor)
-        except TypeError:
-            return NotImplemented
+    def _plus(self, other, sign: int):
+        if type(other) is not CycloScalar:
+            try:
+                other = CycloScalar.coerce(other, self.conductor)
+            except TypeError:
+                return NotImplemented
         a, b = CycloScalar._pair(self, other)
-        return CycloScalar(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        ad, bd = a.den, b.den
+        if ad == bd:
+            num = [x + sign * y for x, y in zip(a.num, b.num)]
+            if ad == 1:
+                return _new(a.conductor, tuple(num), 1)
+            return _canonical(a.conductor, num, ad)
+        g = gcd(ad, bd)
+        fa, fb = bd // g, sign * (ad // g)
+        return _canonical(a.conductor, [x * fa + y * fb for x, y in zip(a.num, b.num)],
+                          ad * fa)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloScalar(self.conductor, [-x for x in self.coeffs])
+        return _new(self.conductor, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        try:
-            other = CycloScalar.coerce(other, self.conductor)
-        except TypeError:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            other = CycloScalar.coerce(other, self.conductor)
-        except TypeError:
-            return NotImplemented
+        if type(other) is not CycloScalar:
+            try:
+                other = CycloScalar.coerce(other, self.conductor)
+            except TypeError:
+                return NotImplemented
         a, b = CycloScalar._pair(self, other)
-        m = a.conductor
-        phi = totient(m)
-        prod = [_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
+        an, bn = a.num, b.num
+        phi = len(an)
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        prod[i + j] += x * y
-        out = list(prod[:phi])
-        table = _power_table(m)
+                for j, y in enumerate(bn, i):
+                    prod[j] += x * y
+        rows = _power_rows(a.conductor)
         for k in range(phi, 2 * phi - 1):
             c = prod[k]
             if c:
-                row = table[k]
-                for j, rv in enumerate(row):
-                    if rv:
-                        out[j] += c * rv
-        return CycloScalar(m, out)
+                for j, rv in rows[k]:
+                    prod[j] += c * rv
+        del prod[phi:]
+        return _canonical(a.conductor, prod, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -262,16 +315,16 @@ class CycloScalar:
             raise ZeroDivisionError("CycloScalar inverse of zero")
         m = self.conductor
         if self.is_rational():
-            return CycloScalar.rational(1 / self.coeffs[0], m)
-        # extended Euclid in Q[x] against Phi_m
+            return CycloScalar.rational(Fraction(self.den, self.num[0]), m)
+        # extended Euclid in Q[x] against Phi_m, on num; den multiplies back
         phi_m = [Fraction(c) for c in cyclotomic_polynomial(m)]
-        r0, r1 = phi_m, list(self.coeffs)
+        r0, r1 = phi_m, [Fraction(c) for c in self.num]
         s0, s1 = [_ZERO], [_ONE]
         while True:
             while r1 and not r1[-1]:
                 r1.pop()
             if len(r1) == 1:
-                inv = 1 / r1[0]
+                inv = self.den / r1[0]
                 return CycloScalar(m, [c * inv for c in s1])
             q, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
@@ -306,23 +359,16 @@ class CycloScalar:
         m = self.conductor
         if gcd(j, m) != 1:
             raise PreconditionError(f"galois exponent {j} not coprime to conductor {m}")
-        out = [_ZERO] * totient(m)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                row = _reduce_power(m, j * k)
-                for t, rv in enumerate(row):
-                    if rv:
-                        out[t] += c * rv
-        return CycloScalar(m, out)
+        return _substitute(self, m, j)
 
     def conjugate(self) -> "CycloScalar":
         return self.galois(self.conductor - 1) if self.conductor > 1 else self
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(not c for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def is_real(self) -> bool:
         return self.conjugate() == self
@@ -330,7 +376,7 @@ class CycloScalar:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise PreconditionError("value is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def rational_coordinates(self) -> tuple[Fraction, ...]:
         return self.coeffs
@@ -351,20 +397,19 @@ class CycloScalar:
         if self.is_zero():
             return 0
         if self.is_rational():
-            q = self.coeffs[0]
-            return 1 if q > 0 else -1
+            return 1 if self.num[0] > 0 else -1
         import mpmath
 
         m = self.conductor
-        size = sum(abs(c) for c in self.coeffs)
+        size = Fraction(sum(abs(c) for c in self.num), self.den)
         bound = abs(self.norm()) / size ** (totient(m) - 1)  # |x| >= bound > 0
         digits = 30
         while True:
             with mpmath.workdps(digits):
                 val = mpmath.mpf(0)
-                for k, c in enumerate(self.coeffs):
+                for k, c in enumerate(self.num):
                     if c:
-                        val += mpmath.mpf(c.numerator) / c.denominator * \
+                        val += mpmath.mpf(c) / self.den * \
                             mpmath.cos(2 * mpmath.pi * k / m)
                 err = mpmath.mpf(10) ** (8 - digits) * (1 + float(size))
                 if abs(val) > err and abs(val) > mpmath.mpf(bound.numerator) / bound.denominator / 2:
@@ -387,20 +432,22 @@ class CycloScalar:
     # -- protocol -------------------------------------------------------
 
     def __eq__(self, other):
+        if type(other) is CycloScalar:
+            a, b = CycloScalar._pair(self, other)
+            return a.num == b.num and a.den == b.den
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, CycloScalar):
-            return NotImplemented
-        a, b = CycloScalar._pair(self, other)
-        return a.coeffs == b.coeffs
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:  # computed on first use
             r = self.reduced()
             h = hash((r.conductor, r.coeffs))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     def __bool__(self):
         return not self.is_zero()
@@ -408,12 +455,17 @@ class CycloScalar:
     def __repr__(self):
         r = self.reduced()
         if r.is_rational():
-            return str(r.coeffs[0])
+            return str(r.as_fraction())
         parts = []
         for k, c in enumerate(r.coeffs):
             if c:
                 parts.append(f"{c}*z{r.conductor}^{k}" if k else str(c))
         return " + ".join(parts)
+
+
+_set_conductor = CycloScalar.conductor.__set__
+_set_num = CycloScalar.num.__set__
+_set_den = CycloScalar.den.__set__
 
 
 def sqrt_of_rational_in_field(value, conductor: int) -> CycloScalar | None:

@@ -140,16 +140,18 @@ def _solve_two(target: AlgebraElement, u: AlgebraElement, v: AlgebraElement):
     if first is None:
         return None
     a1, b1, c1 = first
+    inv1 = a1.inverse()
     second = None
     for a2, b2, c2 in eqs:
-        res = b2 - a2 * b1 / a1
+        f = a2 * inv1
+        res = b2 - f * b1
         if not res.is_zero():
-            second = (res, c2 - a2 * c1 / a1)
+            second = (res, c2 - f * c1)
             break
     if second is None:
         return None
-    l2 = second[1] / second[0]
-    l1 = (c1 - b1 * l2) / a1
+    l2 = second[1] * second[0].inverse()
+    l1 = (c1 - b1 * l2) * inv1
     return l1, l2
 
 
@@ -367,9 +369,10 @@ def _axiom_violations(dom, values) -> tuple[str, ...]:
 
     def intern(v: CycloScalar) -> int:
         v = v.promote(m)
-        k = number.get(v.coeffs)
+        key = (v.num, v.den)
+        k = number.get(key)
         if k is None:
-            k = number[v.coeffs] = len(interned)
+            k = number[key] = len(interned)
             interned.append(v)
         return k
 

@@ -1,16 +1,18 @@
 """Persistent identity-space cache: keys, round trips, corruption handling."""
 
+import hashlib
 import json
 import os
 
 import pytest
 
 from gradedpi import cache
-from gradedpi.algebras import catalog
+from gradedpi.algebras import catalog, catalog_names
 from gradedpi.cache import (ENV_CACHE_DIR, CacheEntry, cache_get, cache_put,
                             cached_identity_space, default_cache_dir,
                             serialize_space, space_from_payload, space_key)
 from gradedpi.identities import identity_space
+from gradedpi.specfile import canonical_serialization
 
 
 def degrees_of(a, *exps):
@@ -27,6 +29,40 @@ def test_key_is_stable_and_content_addressed():
     assert k1 != space_key(a, degrees_of(a, (0, 0), (0, 1)))
     # different algebra with the same group, different key
     assert k1 != space_key(catalog("M2_4"), degs)
+
+
+# sha256 of canonical_serialization, which every cache key hashes; pinned so
+# that a change of the scalar representation cannot move keys or CLI text
+SERIALIZATION_DIGESTS = {
+    "C2": "dd7367d267acc7168aa873eea5f80269bebce3aacab1c5c9493cafe038a04fe4",
+    "H2": "40e4776214302d0ed70dec79c1cb24a29c7711b6236679d2ab95309417c04a5e",
+    "H4": "25fe0c6ae81f1b3b71ad707cb0ddd7cb2dc8709a8fc11bdd1b0c6cd316b1062c",
+    "M2C_Z4": "cfbfcbe5b3707c482414b720a86a826f3358a63755e92c76974a1ad5ef8bc8d1",
+    "M2_2": "af92d141f1a5fe0d3b72380abae8145084d32fd027f997884221b82974da5b82",
+    "M2_4": "6e6395e5ffbbd63cd00d8970c24e0ba04988933afbf35b1899b09a4abe430084",
+    "M2_8": "93422910a247b5dea88c34e4d2815bb412ac4701560c8a69bb96d30d2a87c89f",
+    "M4_4": "133b52550e8313238dfd9d18743b64035c579e09ce4840f273aacafbb9153b91",
+    "quat_trivial": "e38902112b8ddb3f50d79c6b1ea28077a713fac113885e828d5273d41f6cc93b",
+    "pauli(3,1)": "3b48c2f069568df426307e756e45365fe1c7e527ce4e023db0e7672105c435ae",
+    "pauli(4,3)": "fbadc3e9c91178935934247ed4f95d3243d1b64e3c214f6dfb2a3b7da0d022c8",
+    "pauli(5,1)": "2fbb3f10645d0ffbf23b0a42f7a5da5b7c78381a24b24d93a2bb340176b4929e",
+}
+
+
+def test_every_catalog_entry_has_a_pinned_serialization():
+    fixed = [n for n in catalog_names() if "(" not in n]
+    assert set(fixed) <= set(SERIALIZATION_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZATION_DIGESTS))
+def test_canonical_serialization_is_pinned(name):
+    if name.startswith("pauli("):
+        a = catalog("pauli", *name[len("pauli("):-1].split(","))
+    else:
+        a = catalog(name)
+    text = canonical_serialization(a)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        SERIALIZATION_DIGESTS[name]
 
 
 def test_key_serialises_each_algebra_once(monkeypatch):

@@ -5,6 +5,7 @@ hypothesis suites pin the ring axioms and the Galois action.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
@@ -181,6 +182,117 @@ def test_conjugation_is_an_involution_fixing_norms(data):
     assert n.is_real()
     if not a.is_zero():
         assert n.sign() == 1
+
+
+def test_too_many_coordinates_are_rejected():
+    with pytest.raises(PreconditionError):
+        CycloScalar(4, [0, 0, 1])
+
+
+def test_float_coordinates_are_rejected():
+    # 0.1 is not 1/10: a float would silently become a binary fraction
+    with pytest.raises(TypeError):
+        CycloScalar(4, [0.1])
+    with pytest.raises(TypeError):
+        CycloScalar.rational(0.5)
+
+
+# -- reference arithmetic: Fraction polynomials modulo Phi_m ---------------
+
+# Phi_m low-to-high, from the standard tables
+PHI = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1),
+       5: (1, 1, 1, 1, 1), 6: (1, -1, 1), 8: (1, 0, 0, 0, 1),
+       12: (1, 0, -1, 0, 1)}
+
+
+def _ref_mod(poly, m):
+    """Coordinates of a Fraction polynomial modulo Phi_m (long division)."""
+    phi_m = PHI[m]
+    d = len(phi_m) - 1
+    p = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for k in range(len(p) - 1, d - 1, -1):
+        c = p[k]
+        if c:
+            for j, q in enumerate(phi_m):
+                p[k - d + j] -= c * q
+    return p[:d]
+
+
+def _ref_mul(x, y, m):
+    prod = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            prod[i + j] += u * v
+    return _ref_mod(prod, m)
+
+
+def _ref_substitute(x, step, m):
+    """sum x_k * t^(step*k) modulo Phi_m: Galois maps and promotions."""
+    poly = [Fraction(0)] * (step * len(x) + 1)
+    for k, u in enumerate(x):
+        poly[step * k] += u
+    return _ref_mod(poly, m)
+
+
+def assert_canonical(s: CycloScalar):
+    assert len(s.num) == totient(s.conductor)
+    assert all(type(n) is int for n in s.num) and type(s.den) is int
+    assert s.den > 0 and gcd(s.den, *s.num) == 1
+    if not any(s.num):
+        assert s.den == 1
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_arithmetic_matches_fraction_polynomial_reference(m, data):
+    a, b = data.draw(scalars(m)), data.draw(scalars(m))
+    x, y = list(a.coeffs), list(b.coeffs)
+    big = data.draw(st.sampled_from([n for n in CONDUCTORS if n % m == 0]))
+    j = data.draw(st.sampled_from([k for k in range(1, m + 1) if gcd(k, m) == 1]))
+    checks = [
+        (a + b, m, [u + v for u, v in zip(x, y)]),
+        (a - b, m, [u - v for u, v in zip(x, y)]),
+        (-a, m, [-u for u in x]),
+        (a * b, m, _ref_mul(x, y, m)),
+        (a.promote(big), big, _ref_substitute(x, big // m, big)),
+        (a.galois(j), m, _ref_substitute(x, j, m)),
+        (a.conjugate(), m, _ref_substitute(x, m - 1, m)),
+    ]
+    if not a.is_zero():
+        inv = a.inverse()
+        assert _ref_mul(list(inv.coeffs), x, m) == [1] + [0] * (totient(m) - 1)
+        checks.append((inv, m, list(inv.coeffs)))
+    for got, cond, want in checks:
+        assert got.conductor == cond
+        assert got.coeffs == tuple(want)
+        assert_canonical(got)
+        built = CycloScalar(cond, want)  # the same value, built from coordinates
+        assert (got.num, got.den) == (built.num, built.den)
+        assert hash(got) == hash(built)
+        assert got.is_zero() == (not any(want))
+        assert got.is_rational() == (not any(want[1:]))
+
+
+def test_equal_values_have_equal_canonical_form():
+    z12 = CycloScalar.root_of_unity(12)
+    half = CycloScalar.rational(Fraction(1, 2), 4)
+    pairs = [
+        (CycloScalar.root_of_unity(3).promote(12), z12 ** 4),
+        (CycloScalar.root_of_unity(3, 1, conductor=12), z12 ** 4),
+        (half + half, CycloScalar.one(4)),
+        (half * 2, CycloScalar.one(4)),
+        (CycloScalar(4, [Fraction(2, 6), Fraction(4, 6)]),
+         CycloScalar(4, [Fraction(1, 3), Fraction(2, 3)])),
+        (half - half, CycloScalar.zero(4)),
+    ]
+    for x, y in pairs:
+        assert_canonical(x)
+        assert (x.num, x.den) == (y.num, y.den)
+        assert hash(x) == hash(y)
+    assert CycloScalar(4, [Fraction(2, 6), Fraction(4, 6)]).num == (1, 2)
+    assert CycloScalar(4, [Fraction(2, 6), Fraction(4, 6)]).den == 3
+    assert CycloScalar.zero(12).num == (0, 0, 0, 0)
 
 
 # -- square roots in the coordinate field ----------------------------------
