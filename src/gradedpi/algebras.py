@@ -173,11 +173,14 @@ class GradedAlgebra:
 class IntegerProducts:
     """Right multiplication by each basis element, on integer coordinates.
 
-    A vector maps basis indices to lists of power-basis coordinates (ints, one
-    per slot of the conductor's field).  Every structure constant is scaled by
-    `scale`, the least common denominator of all coordinates in the table, so
-    `times(x, j)` is `scale` times the coordinates of x * basis[j].  It is
-    built from the algebra's table alone.
+    A vector is one sparse dict {i * phi + t: nonzero int}: the power-basis
+    coordinate t (of the conductor's field, phi = totient(conductor) slots)
+    of the coefficient of basis element i.  Every structure constant is
+    scaled by `scale`, the least common denominator of all coordinates in the
+    table, so `times(x, j)` is `scale` times the coordinates of x * basis[j].
+    Table entries with equal constants share one slot matrix (slot t ->
+    ((slot w, int), ...) for zeta^t times the scaled constant).  It is built
+    from the algebra's table alone.
     """
 
     __slots__ = ("phi", "scale", "right")
@@ -189,9 +192,9 @@ class IntegerProducts:
             for _, s in entries:
                 scale = _lcm(scale, s.den)
         zetas = [CycloScalar.root_of_unity(m, t, m) for t in range(totient(m))]
-        # multiplication by one scaled constant s, slot t -> ((slot w, int), ...)
-        # for zeta^t * s; shared between the table entries with equal constants
+        phi = len(zetas)
         shared: dict = {}
+        # right[j][i]: ((k * phi, slot matrix), ...) for basis[i] * basis[j]
         right: list[dict] = [{} for _ in range(a.dim)]
         for (i, j), entries in a.table.items():
             out = []
@@ -203,30 +206,28 @@ class IntegerProducts:
                         tuple((w, q * (scale // zs.den))
                               for w, q in enumerate(zs.num) if q)
                         for zs in (z * s for z in zetas))
-                out.append((k, mat))
+                out.append((k * phi, mat))
             right[j][i] = tuple(out)
-        self.phi = len(zetas)
+        self.phi = phi
         self.scale = scale
         self.right = right
 
-    def unit_vector(self, i: int) -> dict[int, list[int]]:
-        return {i: [1] + [0] * (self.phi - 1)}
+    def unit_vector(self, i: int) -> dict[int, int]:
+        return {i * self.phi: 1}
 
-    def times(self, x: dict[int, list[int]], j: int) -> dict[int, list[int]]:
+    def times(self, x: dict[int, int], j: int) -> dict[int, int]:
         """`scale` * (x * basis[j]); zero coordinates are dropped."""
         right = self.right[j]
         phi = self.phi
-        out: dict[int, list[int]] = {}
-        for i, xs in x.items():
-            for k, mat in right.get(i, ()):
-                acc = out.get(k)
-                if acc is None:
-                    acc = out[k] = [0] * phi
-                for xt, row in zip(xs, mat):
-                    if xt:
-                        for w, c in row:
-                            acc[w] += xt * c
-        return {k: acc for k, acc in out.items() if any(acc)}
+        out: dict[int, int] = {}
+        get = out.get
+        for it, q in x.items():
+            i, t = divmod(it, phi)
+            for base, mat in right.get(i, ()):
+                for w, c in mat[t]:
+                    w += base
+                    out[w] = get(w, 0) + q * c
+        return {w: q for w, q in out.items() if q}
 
 
 class AlgebraElement:

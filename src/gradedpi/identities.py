@@ -382,20 +382,24 @@ class IdentitySpace:
         return f"IdentitySpace({self.degrees}, dim {self.dimension})"
 
 
-def _word_product(products, prefixes: dict, word: list[int]) -> dict:
+def _word_product(products, words: dict, word: tuple) -> dict:
     """Integer coordinates of the product of the basis elements in `word`.
 
-    Products of proper prefixes are memoised in `prefixes` (keyed by the
-    prefix as a tuple), so the permutations of one degree tuple share them;
-    a zero prefix makes every extension zero without further products.
+    Every word and every prefix is memoised in `words` under its tuple of
+    basis indices, so a word spelled by several (substitution, permutation)
+    pairs of one space is multiplied once and the permutations share their
+    prefixes; a zero prefix makes every extension zero without further
+    products.
     """
-    if len(word) == 1:
-        return products.unit_vector(word[0])
-    key = tuple(word[:-1])
-    head = prefixes.get(key)
-    if head is None:
-        head = prefixes[key] = _word_product(products, prefixes, word[:-1])
-    return products.times(head, word[-1]) if head else head
+    vec = words.get(word)
+    if vec is None:
+        if len(word) == 1:
+            vec = products.unit_vector(word[0])
+        else:
+            head = _word_product(products, words, word[:-1])
+            vec = products.times(head, word[-1]) if head else head
+        words[word] = vec
+    return vec
 
 
 def identity_space(a: GradedAlgebra, degrees) -> IdentitySpace:
@@ -421,21 +425,23 @@ def identity_space(a: GradedAlgebra, degrees) -> IdentitySpace:
         perms = monomial_order(len(degrees))
         ncols = len(perms)
         products = a.integer_products()
-        prefixes: dict = {}
+        words: dict = {}
+        # a row equal to one added before is already in the row space
+        added: set = set()
         reducer = RowReducer(ncols)
         for sub in itertools.product(*comps):
             rows: dict = {}
             for ci, perm in enumerate(perms):
-                vec = _word_product(products, prefixes, [sub[p] for p in perm])
-                for k, xs in vec.items():
-                    for slot, q in enumerate(xs):
-                        if q:
-                            row = rows.get((k, slot))
-                            if row is None:
-                                row = rows[(k, slot)] = [0] * ncols
-                            row[ci] = q
-            for row in rows.values():
-                reducer.add(row)
+                vec = _word_product(products, words, tuple(sub[p] for p in perm))
+                for w, q in vec.items():
+                    row = rows.get(w)
+                    if row is None:
+                        row = rows[w] = [0] * ncols
+                    row[ci] = q
+            for row in map(tuple, rows.values()):
+                if row not in added:
+                    added.add(row)
+                    reducer.add(row)
             if reducer.rank == ncols:
                 break
         space = IdentitySpace(degrees, reducer.sorted_rows())

@@ -444,8 +444,11 @@ class CycloScalar:
         try:
             return self._hash
         except AttributeError:  # computed on first use
-            r = self.reduced()
-            h = hash((r.conductor, r.coeffs))
+            if self.is_rational():  # as the equal int or Fraction
+                h = hash(Fraction(self.num[0], self.den))
+            else:
+                r = self.reduced()
+                h = hash((r.conductor, r.coeffs))
             object.__setattr__(self, "_hash", h)
             return h
 

@@ -185,15 +185,27 @@ def test_basis_product_is_the_element_product(name):
                                          ("pauli", (3, 1))],
                          ids=["M2C_Z4", "M4_4", "pauli(3,1)"])
 def test_integer_products_match_element_products(name, params):
+    # vectors are flat sparse dicts {basis index * phi + slot: nonzero int}
     a = catalog(name, *params)
     products = a.integer_products()
+    phi = products.phi
     assert products.scale == (2 if name == "pauli" else 1)
+
+    def scaled(x, factor):
+        return {k * phi + t: factor * q for k, c in x.coeffs.items()
+                for t, q in enumerate(c.rational_coordinates()) if q}
+
     for i in range(a.dim):
+        assert products.unit_vector(i) == scaled(a.basis_element(i), 1)
         for j in range(a.dim):
             prod = a.basis_element(i) * a.basis_element(j)
-            want = {k: [products.scale * q for q in c.rational_coordinates()]
-                    for k, c in prod.coeffs.items()}
-            assert products.times(products.unit_vector(i), j) == want
+            got = products.times(products.unit_vector(i), j)
+            assert got == scaled(prod, products.scale)
+            # vectors with several coordinates, scaled once per product
+            for k in range(a.dim):
+                got3 = products.times(got, k)
+                assert got3 == scaled(prod * a.basis_element(k), products.scale ** 2)
+                assert all(type(q) is int and q for q in got3.values())
 
 
 def test_homogeneous_elements_of_division_gradings_invert():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -141,6 +142,37 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
               serialize_space(identity_space(a, degs)), directory=d)
     names = os.listdir(d)
     assert len(names) == 1 and names[0].endswith(".json")
+
+
+def _put_repeatedly(key, value, directory, times):
+    for _ in range(times):
+        cache_put(key, value, directory=directory)
+
+
+def test_concurrent_writers_never_expose_a_partial_entry(tmp_path, capsys):
+    d = str(tmp_path)
+    a = catalog("M4_4")
+    degs = degrees_of(a, (0, 0), (0, 0), (0, 0))
+    key = space_key(a, degs)
+    value = serialize_space(identity_space(a, degs))
+    ctx = multiprocessing.get_context("spawn")
+    writers = [ctx.Process(target=_put_repeatedly, args=(key, value, d, 300))
+               for _ in range(2)]
+    for w in writers:
+        w.start()
+    reads = []
+    while any(w.is_alive() for w in writers) or not reads:
+        entry = cache_get(key, directory=d)
+        assert entry is None or entry == CacheEntry(key, value)
+        reads.append(entry)
+    for w in writers:
+        w.join()
+        assert w.exitcode == 0
+    assert cache_get(key, directory=d) == CacheEntry(key, value)
+    assert space_from_payload(cache_get(key, directory=d).value, degs) == \
+        identity_space(a, degs)
+    assert "corrupt" not in capsys.readouterr().err
+    assert os.listdir(d) == [key + ".json"]
 
 
 def test_cached_identity_space_hits_disk_then_memory(tmp_path):

@@ -5,6 +5,7 @@ oracle: the same evaluation system is assembled numerically from matrix
 models and its kernel dimension computed by SVD rank.
 """
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedpi.algebras import (TripleSpec, catalog, matrix_over_division,
-                               trivially_graded_reals)
+from gradedpi.algebras import (TripleSpec, catalog, catalog_names,
+                               matrix_over_division, trivially_graded_reals)
 from gradedpi.errors import (InadmissibleSubstitution, InvariantViolation,
                              PolynomialSyntaxError, PreconditionError)
 from gradedpi.groups import Subgroup, make_group, make_hom
@@ -25,7 +26,7 @@ from gradedpi.identities import (GradedPolynomial, IdentitySpace, VarRef,
                                  same_identities_up_to, theta_image)
 from test_algebras import (clock_shift_model, numeric_scalar, quaternion_model,
                            sylvester_model, table_matches_model)
-from test_scalars import _reference_nullspace
+from test_scalars import _reference_nullspace, _reference_rref
 
 
 def numeric_model(a, model):
@@ -284,6 +285,84 @@ def test_kernel_is_the_canonical_annihilator_of_the_image(params, exps):
     assert list(space.kernel) == want
     assert len(space.kernel) == space.dimension
     assert all(space.contains_vector(row) for row in space.kernel)
+
+
+def _reference_image(a, degrees):
+    """RREF of the evaluation rows from element products and Fractions alone.
+
+    Every (substitution, permutation) word is multiplied out with
+    AlgebraElement products; each (basis index, power-basis slot) of the
+    results gives one row over the permutation monomials.
+    """
+    perms = monomial_order(len(degrees))
+    rows = []
+    for sub in itertools.product(*(a.component_basis(g) for g in degrees)):
+        cols = []
+        for perm in perms:
+            x = sub[perm[0]]
+            for p in perm[1:]:
+                x = x * sub[p]
+            cols.append({(k, t): q for k, c in x.coeffs.items()
+                         for t, q in enumerate(c.rational_coordinates())})
+        for key in sorted({key for col in cols for key in col}):
+            rows.append([col.get(key, Fraction(0)) for col in cols])
+    return tuple(_reference_rref(rows, len(perms))[0])
+
+
+@pytest.mark.parametrize("params,exps", [
+    (("H2",), ((0,), (0,), (0,), (1,))),
+    (("M4_4",), ((0, 0), (0, 0), (0, 0))),
+    (("pauli", 3, 1), ((1, 0), (1, 0), (0, 1))),
+    (("M2C_Z4",), ((1,), (1,), (2,))),
+    (("H4",), ((1, 0), (1, 0), (1, 0))),
+    (("quat_trivial",), ((0, 0), (0, 0), (0, 0))),
+], ids=["H2", "M4_4", "pauli(3,1)", "M2C_Z4", "H4", "quat_trivial-full-rank"])
+def test_image_matches_element_product_reference(params, exps):
+    # repeated degrees and repeated basis elements spell one word in several
+    # ways; the full-rank case stops before the last substitution
+    a = catalog(*params)
+    degrees = tuple(a.group.element(x) for x in exps)
+    want = _reference_image(a, degrees)
+    assert identity_space(a, degrees).image == want
+    if params == ("quat_trivial",):
+        assert len(want) == math.factorial(len(degrees))
+
+
+# sha256 over repr((degrees, image)) for every ordered tuple of support
+# degrees up to size 3 (size 4 for the IMAGE_DIGEST_DEEP entries); pinned so
+# that identity_space, disk-cache payloads and idspace output cannot drift
+IMAGE_DIGEST_DEEP = {"H2", "M2_2", "H4", "M2_4"}
+IMAGE_DIGESTS = {
+    "C2": "0f108f903c0cb87db8b3d2b4a9f56a83c5ce28ba9263ef467b6c232622ce19c7",
+    "H2": "747f581ab1ac820a628d58de5308006a1e42c148cf5d256a568c0a5bb7e602a1",
+    "H4": "a121f7817bbac3d4b0dda0405cca13c1579f2ec2f1e33feef4f51084f8eb571f",
+    "M2C_Z4": "87e53be27e76f71f9b7f9bf620a7cbd107e761a72218dd4864b7bcf29ac07174",
+    "M2_2": "747f581ab1ac820a628d58de5308006a1e42c148cf5d256a568c0a5bb7e602a1",
+    "M2_4": "a121f7817bbac3d4b0dda0405cca13c1579f2ec2f1e33feef4f51084f8eb571f",
+    "M2_8": "5c32853bbcab5ff9093769bd15d5c456fc168b01d4e622e3ddd48b457b7c4b6d",
+    "M4_4": "669338dd50ac09e80932565d47f01d1352cb7ab0a9eec0aa45e7c145e8b67e5e",
+    "quat_trivial": "43cefd2b51d5d24c495d324985f3977bb0b09e9910b87d90197af1f3ddc324c9",
+    "pauli(3,1)": "f2298ca3e26ac875a65bb286ee174e578783965cb6d688e8e3adf2f9ad5299ff",
+    "pauli(4,3)": "d291cdb9fcc5cbea3ab71ab7db021233233e506debfffd1d6b746e00acb6cac5",
+}
+
+
+def test_every_catalog_entry_has_pinned_images():
+    fixed = [n for n in catalog_names() if "(" not in n]
+    assert set(fixed) <= set(IMAGE_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(IMAGE_DIGESTS))
+def test_images_are_pinned(name):
+    if name.startswith("pauli("):
+        a = catalog("pauli", *name[len("pauli("):-1].split(","))
+    else:
+        a = catalog(name)
+    h = hashlib.sha256()
+    for size in range(1, (4 if name in IMAGE_DIGEST_DEEP else 3) + 1):
+        for degrees in itertools.product(sorted(a.support()), repeat=size):
+            h.update(repr((degrees, identity_space(a, degrees).image)).encode())
+    assert h.hexdigest() == IMAGE_DIGESTS[name]
 
 
 def test_empty_component_space_has_empty_image():

@@ -295,6 +295,20 @@ def test_equal_values_have_equal_canonical_form():
     assert CycloScalar.zero(12).num == (0, 0, 0, 0)
 
 
+def test_rational_scalars_hash_like_the_equal_int_or_fraction():
+    # equal values must hash equal, or mixed keys in a dict or set miss
+    assert {CycloScalar.one(): "x"}[1] == "x"
+    for value in [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)]:
+        for m in [1, 4, 12]:
+            x = CycloScalar.rational(value, m)
+            assert x == value and hash(x) == hash(value)
+            assert {x: "x"}[value] == "x" and {value: "v"}[x] == "v"
+    z = CycloScalar.root_of_unity(4)
+    assert hash(z) == hash(z.promote(12))
+    assert z.promote(12) ** 2 == -1 and hash(z.promote(12) ** 2) == hash(-1)
+    assert len({z, z.promote(12), -CycloScalar.one(12) * -z}) == 1
+
+
 # -- square roots in the coordinate field ----------------------------------
 
 
