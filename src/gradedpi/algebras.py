@@ -132,13 +132,13 @@ class GradedAlgebra:
     # -- element construction ---------------------------------------------
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
+        return _element(self, {})
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, dict(self.unit))
+        return _element(self, self.unit)
 
     def basis_element(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(self, {i: CycloScalar.one(self.conductor)})
+        return _element(self, {i: CycloScalar.one(self.conductor)})
 
     def element(self, coeffs: dict) -> "AlgebraElement":
         out = {}
@@ -157,7 +157,7 @@ class GradedAlgebra:
         out: dict = {}
         for k, s in self.table.get((i, j), ()):
             out[k] = out[k] + s if k in out else s
-        return AlgebraElement(self, out)
+        return _element(self, out)
 
     def integer_products(self) -> "IntegerProducts":
         """The multiplication table compiled to integers, built on first use."""
@@ -266,18 +266,23 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            out[i] = out.get(i, CycloScalar.zero(self.parent.conductor)) + c
-        return AlgebraElement(self.parent, out)
+            prev = out.get(i)
+            out[i] = c if prev is None else prev + c
+        return _element(self.parent, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.parent, {i: -c for i, c in self.coeffs.items()})
+        return _element(self.parent, {i: -c for i, c in self.coeffs.items()})
 
     def scale(self, s) -> "AlgebraElement":
-        s = CycloScalar.coerce(s, self.parent.conductor)
-        return AlgebraElement(self.parent, {i: c * s for i, c in self.coeffs.items()})
+        cond = self.parent.conductor
+        s = CycloScalar.coerce(s, cond)
+        out = {i: c * s for i, c in self.coeffs.items()}
+        if s.conductor != cond:  # the public constructor promotes or rejects
+            return AlgebraElement(self.parent, out)
+        return _element(self.parent, out)
 
     def __rmul__(self, s):
         if isinstance(s, (int, Fraction, CycloScalar)):
@@ -289,7 +294,6 @@ class AlgebraElement:
             return self.scale(other)
         self._check(other)
         table = self.parent.table
-        cond = self.parent.conductor
         out: dict[int, CycloScalar] = {}
         for i, ci in self.coeffs.items():
             for j, cj in other.coeffs.items():
@@ -300,7 +304,7 @@ class AlgebraElement:
                 for k, s in entries:
                     prev = out.get(k)
                     out[k] = f * s if prev is None else prev + f * s
-        return AlgebraElement(self.parent, out)
+        return _element(self.parent, out)
 
     def _check(self, other):
         if not isinstance(other, AlgebraElement) or other.parent is not self.parent:
@@ -334,6 +338,15 @@ class AlgebraElement:
             c = self.coeffs[i]
             parts.append(f"({c!r})*{self.parent.labels[i]}")
         return " + ".join(parts)
+
+
+def _element(parent: GradedAlgebra, coeffs: dict) -> AlgebraElement:
+    # An element from coefficients already at the parent conductor, as the
+    # results of element arithmetic are: only zero coefficients are dropped.
+    x = object.__new__(AlgebraElement)
+    x.parent = parent
+    x.coeffs = {i: c for i, c in coeffs.items() if any(c.num)}
+    return x
 
 
 # -- validation ----------------------------------------------------------
@@ -375,24 +388,28 @@ def validate(a: GradedAlgebra) -> ValidationReport:
 # -- invertibility and the graded-division criterion ----------------------
 
 
-def left_multiplication_matrix(x: AlgebraElement, indices=None):
-    """Rows of L_x restricted to span(basis[i] for i in indices), over the field."""
+def left_multiplication_matrix(x: AlgebraElement, indices=None, targets=None):
+    """The matrix of L_x from span(basis[i] for i in indices) to
+    span(basis[k] for k in targets), over the field.
+
+    Column c holds the coordinates of x * basis[indices[c]], read off the
+    table; targets default to the indices.  A table entry outside the target
+    span raises.
+    """
     a = x.parent
-    if indices is None:
-        indices = range(a.dim)
-    indices = list(indices)
-    pos = {t: s for s, t in enumerate(indices)}
-    rows = []
+    indices = range(a.dim) if indices is None else list(indices)
+    targets = indices if targets is None else list(targets)
+    columns = []
     for t in indices:
-        prod = x * a.basis_element(t)
-        row = [CycloScalar.zero(a.conductor)] * len(indices)
-        for k, c in prod.coeffs.items():
-            if k not in pos:
-                raise PreconditionError("multiplication leaves the requested span")
-            row[pos[k]] = c
-        rows.append(row)
-    # rows are images of basis vectors: transpose to the usual matrix of L_x
-    return [[rows[j][i] for j in range(len(indices))] for i in range(len(indices))]
+        col: dict = {}
+        for i, c in x.coeffs.items():
+            for k, s in a.table.get((i, t), ()):
+                col[k] = col[k] + c * s if k in col else c * s
+        columns.append(col)
+    if not set().union(*columns) <= set(targets):
+        raise PreconditionError("multiplication leaves the requested span")
+    zero = CycloScalar.zero(a.conductor)
+    return [[col.get(k, zero) for col in columns] for k in targets]
 
 
 def _field_rank(rows: list[list[CycloScalar]]) -> int:
@@ -424,10 +441,32 @@ def _field_rank(rows: list[list[CycloScalar]]) -> int:
 
 
 def is_invertible(x: AlgebraElement) -> bool:
+    """Whether L_x is bijective.
+
+    For x homogeneous of degree g, L_x maps each component A_h into A_gh, so
+    it is bijective exactly when every block A_h -> A_gh is square and of
+    full rank; a 1x1 block only needs a nonzero product.  Mixed elements take
+    the rank of the whole matrix.  A product of homogeneous basis elements
+    outside A_gh raises PreconditionError.
+    """
     if x.is_zero():
         return False
-    m = left_multiplication_matrix(x)
-    return _field_rank(m) == x.parent.dim
+    a = x.parent
+    g = x.degree()
+    if g is None:
+        return _field_rank(left_multiplication_matrix(x)) == a.dim
+    # every block is read before any verdict, so that a misgraded table raises
+    blocks = [(len(source), left_multiplication_matrix(x, source, a.component(g * h)))
+              for h, source in a._components.items()]
+    for n, block in blocks:
+        if len(block) != n:
+            return False
+        if n == 1:
+            if block[0][0].is_zero():
+                return False
+        elif _field_rank(block) != n:
+            return False
+    return True
 
 
 @dataclass

@@ -293,6 +293,15 @@ class CycloScalar:
                 return NotImplemented
         a, b = CycloScalar._pair(self, other)
         an, bn = a.num, b.num
+        # a rational operand scales the other's numerators by one int
+        if not any(bn[1:]):
+            if bn[0] == b.den == 1:
+                return a
+            return _canonical(a.conductor, [x * bn[0] for x in an], a.den * b.den)
+        if not any(an[1:]):
+            if an[0] == a.den == 1:
+                return b
+            return _canonical(a.conductor, [an[0] * y for y in bn], a.den * b.den)
         phi = len(an)
         prod = [0] * (2 * phi - 1)
         for i, x in enumerate(an):
@@ -315,7 +324,9 @@ class CycloScalar:
             raise ZeroDivisionError("CycloScalar inverse of zero")
         m = self.conductor
         if self.is_rational():
-            return CycloScalar.rational(Fraction(self.den, self.num[0]), m)
+            n = self.num[0]  # den / n, with the sign moved to the numerator
+            num = (self.den if n > 0 else -self.den,) + self.num[1:]
+            return _new(m, num, abs(n))
         # extended Euclid in Q[x] against Phi_m, on num; den multiplies back
         phi_m = [Fraction(c) for c in cyclotomic_polynomial(m)]
         r0, r1 = phi_m, [Fraction(c) for c in self.num]

@@ -103,26 +103,27 @@ def complex_commutation_factor(a: GradedAlgebra, g: GroupElement,
 
 def _complex_factor(a: GradedAlgebra, g: GroupElement, h: GroupElement,
                     j: AlgebraElement):
-    # complex_commutation_factor for a unit J already validated
-    sol = None
+    # complex_commutation_factor for a unit J already validated: (l1, l2) is
+    # solved from the first pair, then every pair is checked as one product
+    # ab == (l1 + l2*J) * ba
     pairs = []
     for ab, ba in _basis_pairs(a, g, h):
         if ba.is_zero():
             if ab.is_zero():
                 continue
             return None
-        pairs.append((ab, ba, j * ba))
-    for ab, ba, jba in pairs:
-        if sol is None:
-            sol = _solve_two(ab, ba, jba)
-            if sol is None:
-                return None
-        l1, l2 = sol
-        if ab != ba.scale(l1) + jba.scale(l2):
-            return None
+        pairs.append((ab, ba))
+    if not pairs:
+        return None
+    ab, ba = pairs[0]
+    sol = _solve_two(ab, ba, j * ba)
     if sol is None:
         return None
     l1, l2 = sol
+    factor = a.one().scale(l1) + j.scale(l2)
+    for ab, ba in pairs:
+        if ab != factor * ba:
+            return None
     if not l1.is_real() or not l2.is_real():
         return None
     m = _lcm(a.conductor, 4)
@@ -408,13 +409,14 @@ def _axiom_violations(dom, values) -> tuple[str, ...]:
 
 
 def _hall_products(a: GradedAlgebra, g: GroupElement) -> list[AlgebraElement]:
-    """The nonzero P = [x,y][x,w] + [x,w][x,y] over x,w in A_e, y in A_g,
-    in the order x, y, w of basis positions."""
+    """The distinct nonzero P = [x,y][x,w] + [x,w][x,y] over x,w in A_e,
+    y in A_g, in the order x, y, w of basis positions (first occurrences)."""
     ebasis = a.component(a.group.identity)
     if len(ebasis) != 4:
         raise PreconditionError("Hall bicharacter needs dim A_e = 4")
     bracket = lambda i, j: a.basis_product(i, j) - a.basis_product(j, i)
     out = []
+    seen = set()  # exact repeats are kept once, by coefficient coordinates
     for x in ebasis:
         cxws = [bracket(x, w) for w in ebasis]
         for y in a.component(g):
@@ -425,7 +427,9 @@ def _hall_products(a: GradedAlgebra, g: GroupElement) -> list[AlgebraElement]:
                 if cxw.is_zero():
                     continue
                 p = cxy * cxw + cxw * cxy
-                if not p.is_zero():
+                key = frozenset((i, c.num, c.den) for i, c in p.coeffs.items())
+                if key and key not in seen:
+                    seen.add(key)
                     out.append(p)
     return out
 

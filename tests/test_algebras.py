@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedpi.algebras import (GradedAlgebra, TripleSpec, catalog,
-                               catalog_names, check_graded_division,
-                               is_invertible, matrix_over_division,
-                               quotient_grading, regrade, tensor_product,
+from gradedpi.algebras import (GradedAlgebra, TripleSpec, _field_rank,
+                               catalog, catalog_names, check_graded_division,
+                               is_invertible, left_multiplication_matrix,
+                               matrix_over_division, quotient_grading,
+                               regrade, tensor_product,
                                trivially_graded_complex,
                                trivially_graded_reals, twisted_group_algebra,
                                validate)
@@ -213,6 +214,91 @@ def test_homogeneous_elements_of_division_gradings_invert():
         a = catalog(name)
         for i in range(a.dim):
             assert is_invertible(a.basis_element(i))
+
+
+def full_rank_invertible(x) -> bool:
+    """The reference: the rank of the whole dim x dim matrix of L_x."""
+    return _field_rank(left_multiplication_matrix(x)) == x.parent.dim
+
+
+def combinator_outputs():
+    """Quotients, regradings, tensor products and matrix algebras."""
+    h4, m24, c2 = catalog("H4"), catalog("M2_4"), catalog("C2")
+    z2, z22, z4 = make_group((2,)), make_group((2, 2)), make_group((4,))
+    z23, z24, z1 = make_group((2, 2, 2)), make_group((2, 2, 2, 2)), make_group((1,))
+    hom = lambda g, h, images: make_hom(g, h, [h.element(x) for x in images])
+    left = hom(z22, z24, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    right = hom(z22, z24, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    return {
+        "H4/(a,b->a)": quotient_grading(h4, hom(z22, z2, [(1,), (1,)])),
+        "M2_4 trivial": quotient_grading(m24, hom(z22, z1, [(0,), (0,)])),
+        "M2_4 sheared": regrade(m24, hom(z22, z22, [(0, 1), (1, 1)])),
+        "C2 on <a^2>": regrade(c2, hom(z2, z4, [(2,)])),
+        "H4 x C2": tensor_product(h4, c2, z23, hom(z22, z23, [(1, 0, 0), (0, 1, 0)]),
+                                  hom(z2, z23, [(0, 0, 1)])),
+        "H4 x M2_4": tensor_product(h4, m24, z24, left, right),
+        "M2(R) by (e,a)": matrix_over_division(TripleSpec(
+            Subgroup.trivial(z2), trivially_graded_reals(z2),
+            (z2.identity, z2.element((1,))))),
+        "M2(R) trivial": matrix_over_division(TripleSpec(
+            Subgroup.trivial(z2), trivially_graded_reals(z2),
+            (z2.identity, z2.identity))),
+        "M2(H) by (e,a)": matrix_over_division(TripleSpec(
+            h4.support_subgroup(), h4, (z22.identity, z22.element((1, 0))))),
+    }
+
+
+@pytest.mark.parametrize("name", NAMED + ["pauli(3,1)", "pauli(4,3)"]
+                         + sorted(combinator_outputs()))
+def test_block_invertibility_equals_the_full_rank(name):
+    if name.startswith("pauli"):
+        a = catalog("pauli", int(name[6]), int(name[8]))
+    else:
+        a = catalog(name) if name in NAMED else combinator_outputs()[name]
+    for i in range(a.dim):
+        b = a.basis_element(i)
+        assert is_invertible(b) == full_rank_invertible(b), a.labels[i]
+
+
+def test_block_invertibility_of_homogeneous_combinations():
+    # the e-component of M2(R) under the trivial grading, spanned by the
+    # Sylvester basis I, A, B, C: I + A is singular, I + C is not
+    a = combinator_outputs()["M2_4 trivial"]
+    verdicts = set()
+    for combo in itertools.product((-1, 0, 1), repeat=a.dim):
+        if any(combo):
+            x = a.element({t: c for t, c in enumerate(combo) if c})
+            verdicts.add(is_invertible(x))
+            assert is_invertible(x) == full_rank_invertible(x), combo
+    assert verdicts == {True, False}
+
+
+def test_unequal_component_dimensions_are_not_invertible():
+    # M3(R) graded by (e, e, a): A_e has E11, E12, E21, E22, E33 and A_a the
+    # four others, so left multiplication by E13 cannot map A_e onto A_a
+    g = make_group((2,))
+    m3 = matrix_over_division(TripleSpec(Subgroup.trivial(g),
+                                         trivially_graded_reals(g),
+                                         (g.identity, g.identity, g.element((1,)))))
+    assert m3.component_dims() == {g.identity: 5, g.element((1,)): 4}
+    e13 = m3.basis_element(m3.label_index("1E13"))
+    block = left_multiplication_matrix(e13, m3.component(g.identity),
+                                       m3.component(g.element((1,))))
+    assert (len(block), len(block[0])) == (4, 5)
+    assert not is_invertible(e13) and not full_rank_invertible(e13)
+    assert check_graded_division(m3).verdict == "no"
+
+
+def test_products_outside_the_target_component_raise():
+    # x has degree a but x * x lands on x, not in A_e
+    g = make_group((2,))
+    bad = GradedAlgebra(g, 1, ("u", "x"), (g.identity, g.element((1,))),
+                        {(0, 0): ((0, 1),), (0, 1): ((1, 1),),
+                         (1, 0): ((1, 1),), (1, 1): ((1, 1),)}, {0: 1})
+    with pytest.raises(PreconditionError, match="leaves the requested span"):
+        is_invertible(bad.basis_element(1))
+    with pytest.raises(PreconditionError, match="leaves the requested span"):
+        check_graded_division(bad)
 
 
 # -- element arithmetic ------------------------------------------------------

@@ -202,7 +202,7 @@ def test_float_coordinates_are_rejected():
 # Phi_m low-to-high, from the standard tables
 PHI = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1),
        5: (1, 1, 1, 1, 1), 6: (1, -1, 1), 8: (1, 0, 0, 0, 1),
-       12: (1, 0, -1, 0, 1)}
+       12: (1, 0, -1, 0, 1), 20: (1, 0, -1, 0, 1, 0, -1, 0, 1)}
 
 
 def _ref_mod(poly, m):
@@ -272,6 +272,43 @@ def test_arithmetic_matches_fraction_polynomial_reference(m, data):
         assert hash(got) == hash(built)
         assert got.is_zero() == (not any(want))
         assert got.is_rational() == (not any(want[1:]))
+
+
+RATIONALS = [0, 1, -1, 6, -4, Fraction(1, 2), Fraction(-5, 3), Fraction(22, 7)]
+
+
+@pytest.mark.parametrize("m", [1, 4, 12, 20])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_rational_operands_match_fraction_polynomial_reference(m, data):
+    """`*` and `inverse` with one or both operands rational, including a
+    rational stored at a conductor below m."""
+    b = data.draw(scalars(m))
+    y = list(b.coeffs)
+    pad = [Fraction(0)] * (totient(m) - 1)
+    one = [1] + pad
+    for low in [d for d in (1, 2, 4) if m % d == 0] + [m]:
+        for q in RATIONALS:
+            r = CycloScalar.rational(q, low)
+            x = [Fraction(q)] + pad
+            checks = [(r * b, _ref_mul(x, y, m)), (b * r, _ref_mul(x, y, m))]
+            for q2 in RATIONALS:
+                r2 = CycloScalar.rational(q2, m)
+                want = [Fraction(q) * q2] + pad
+                checks += [(r * r2, want), (r2 * r, want)]
+            for got, want in checks:
+                assert got.conductor == m
+                assert got.coeffs == tuple(want)
+                assert_canonical(got)
+            if q == 0:
+                with pytest.raises(ZeroDivisionError):
+                    r.inverse()
+                continue
+            inv = r.inverse()
+            assert inv.conductor == low
+            assert inv.coeffs == (1 / Fraction(q),) + (Fraction(0),) * (totient(low) - 1)
+            assert_canonical(inv)
+            assert _ref_mul(list(inv.promote(m).coeffs), x, m) == one
 
 
 def test_equal_values_have_equal_canonical_form():

@@ -6,12 +6,16 @@ shift matrices); the equivalence verdicts are cross-validated against
 brute-force identity comparison here and exhaustively in the selftest.
 """
 
+import hashlib
 import re
+from math import gcd
 
 import pytest
 
-from gradedpi.algebras import (TripleSpec, catalog, matrix_over_division,
-                               regrade, trivially_graded_reals)
+from gradedpi.algebras import (TripleSpec, catalog, check_graded_division,
+                               matrix_over_division, quotient_grading,
+                               regrade, tensor_product, trivially_graded_reals,
+                               twisted_group_algebra)
 from gradedpi.errors import InvariantViolation, PreconditionError
 from gradedpi.groups import Subgroup, make_group, make_hom
 from gradedpi.identities import same_identities_up_to
@@ -200,6 +204,103 @@ def test_complex_table_equals_the_public_factor_cell_by_cell(name, params):
             assert t.values[key] == lam and t.values[key].conductor == lam.conductor
 
 
+def reference_complex_factor(a, g, h, j):
+    """The complex factor from l1*ba + l2*(J*ba) on every basis pair, with
+    (l1, l2) solved from the first pair by Cramer's rule on two coordinates."""
+    pairs = []
+    for x in a.component(g):
+        for y in a.component(h):
+            ab, ba = a.basis_product(x, y), a.basis_product(y, x)
+            if ba.is_zero():
+                if ab.is_zero():
+                    continue
+                return None
+            pairs.append((ab, ba, j * ba))
+    if not pairs:
+        return None
+    ab, u, v = pairs[0]
+    zero = CycloScalar.zero(a.conductor)
+    keys = sorted(set(ab.coeffs) | set(u.coeffs) | set(v.coeffs))
+    t_, u_, v_ = ({k: e.coeffs.get(k, zero) for k in keys} for e in (ab, u, v))
+    dets = ((k1, k2, u_[k1] * v_[k2] - u_[k2] * v_[k1]) for k1 in keys for k2 in keys)
+    k1, k2, det = next((d for d in dets if not d[2].is_zero()), (None, None, None))
+    if det is None:
+        return None
+    l1 = (t_[k1] * v_[k2] - t_[k2] * v_[k1]) / det
+    l2 = (u_[k1] * t_[k2] - u_[k2] * t_[k1]) / det
+    for ab, ba, jba in pairs:
+        if ab != ba.scale(l1) + jba.scale(l2):
+            return None
+    if not l1.is_real() or not l2.is_real():
+        return None
+    m = 4 * a.conductor // gcd(4, a.conductor)
+    return l1.promote(m) + l2.promote(m) * CycloScalar.root_of_unity(4, 1, m)
+
+
+def reference_hall_factor(a, g, h):
+    """The Hall factor from every nonzero product P, repeats included."""
+    e = a.component(a.group.identity)
+    bracket = lambda i, j: a.basis_product(i, j) - a.basis_product(j, i)
+    products = []
+    for x in e:
+        for y in a.component(g):
+            for w in e:
+                p = bracket(x, y) * bracket(x, w) + bracket(x, w) * bracket(x, y)
+                if not p.is_zero():
+                    products.append(p)
+    lam = None
+    for p in products:
+        for z in a.component_basis(h):
+            lhs, rhs = p * z, z * p
+            if rhs.is_zero():
+                if lhs.is_zero():
+                    continue
+                return None
+            if lam is None:
+                k = min(rhs.coeffs)
+                if k not in lhs.coeffs:
+                    return None
+                lam = lhs.coeffs[k] / rhs.coeffs[k]
+                if not lam.is_real():
+                    return None
+            if lhs != rhs.scale(lam):
+                return None
+    return lam
+
+
+@pytest.mark.parametrize("name,params", [("pauli", (3, 1)), ("pauli", (4, 1)),
+                                         ("M2C_Z4", ())],
+                         ids=["pauli(3,1)", "pauli(4,1)", "M2C_Z4"])
+def test_complex_table_equals_the_reference_cell_by_cell(name, params):
+    a = catalog(name, *params)
+    j = find_complex_unit(a)
+    supp, cs = a.support_subgroup(), central_support(a)
+    for dom in {supp, cs}:
+        want, missing = _cell_by_cell(
+            a, dom.elements, lambda g, h: reference_complex_factor(a, g, h, j))
+        assert (missing is not None) == (name == "M2C_Z4" and dom == supp)
+        if missing is not None:
+            pair = re.escape(f"pair ({missing[0]}, {missing[1]})")
+            with pytest.raises(PreconditionError, match=pair):
+                bicharacter_table(a, dom, "complex", j)
+            continue
+        t = bicharacter_table(a, dom, "complex", j)
+        assert not t.is_real() or name == "M2C_Z4"  # some l2 is nonzero
+        assert t.values.keys() == want.keys()
+        for key, lam in want.items():
+            assert t.values[key] == lam and t.values[key].conductor == lam.conductor
+
+
+@pytest.mark.parametrize("name", ["M4_4", "quat_trivial"])
+def test_hall_table_equals_the_reference_cell_by_cell(name):
+    a = catalog(name)
+    table = classify(a).bichar
+    want, missing = _cell_by_cell(
+        a, table.domain, lambda g, h: reference_hall_factor(a, g, h))
+    assert missing is None
+    assert table.values == want
+
+
 @pytest.mark.parametrize("name", ["M4_4", "quat_trivial"])
 def test_hall_table_equals_the_public_hall_factor_cell_by_cell(name):
     a = catalog(name)
@@ -351,6 +452,202 @@ def test_classify_rejects_non_division():
                       (g.identity, g.element((1,))))
     with pytest.raises(PreconditionError):
         classify(matrix_over_division(spec))
+
+
+# -- pinned answers ------------------------------------------------------------------
+
+
+def _hom(source, target, images):
+    g, h = make_group(source), make_group(target)
+    return make_hom(g, h, [h.element(x) for x in images])
+
+
+def _into_z2_4(left, right):
+    z24 = make_group((2, 2, 2, 2))
+    return tensor_product(catalog(left), catalog(right), z24,
+                          _hom((2, 2), z24.orders, [(1, 0, 0, 0), (0, 1, 0, 0)]),
+                          _hom((2, 2), z24.orders, [(0, 0, 1, 0), (0, 0, 0, 1)]))
+
+
+def _c2_cubed():
+    c2 = catalog("C2")
+    c2c2 = tensor_product(c2, c2, make_group((2, 2)), _hom((2,), (2, 2), [(1, 0)]),
+                          _hom((2,), (2, 2), [(0, 1)]))
+    return tensor_product(c2c2, c2, make_group((2, 2, 2)),
+                          _hom((2, 2), (2, 2, 2), [(1, 0, 0), (0, 1, 0)]),
+                          _hom((2,), (2, 2, 2), [(0, 0, 1)]))
+
+
+# every catalog entry, pauli(n, k) for n <= 4, and the quotients, regradings
+# and tensor products that the benchmark builds
+PINNED = {name: (lambda name=name: catalog(name)) for name in TYPE_TAGS}
+PINNED.update({f"pauli({n},{k})": (lambda n=n, k=k: catalog("pauli", n, k))
+               for n, k in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]})
+PINNED.update({
+    "H4/(a,b->a)": lambda: quotient_grading(
+        catalog("H4"), _hom((2, 2), (2,), [(1,), (1,)])),
+    "M2_8/(drop last)": lambda: quotient_grading(
+        catalog("M2_8"), _hom((2, 2, 2), (2, 2), [(1, 0), (0, 1), (0, 0)])),
+    "H4 swapped": lambda: regrade(catalog("H4"),
+                                  _hom((2, 2), (2, 2), [(0, 1), (1, 0)])),
+    "M2_4 sheared": lambda: regrade(catalog("M2_4"),
+                                    _hom((2, 2), (2, 2), [(0, 1), (1, 1)])),
+    "M2C_Z4 inverted": lambda: regrade(catalog("M2C_Z4"), _hom((4,), (4,), [(3,)])),
+    "C2 on <a^2>": lambda: regrade(catalog("C2"), _hom((2,), (4,), [(2,)])),
+    "pauli(3,1) swapped": lambda: regrade(catalog("pauli", 3, 1),
+                                          _hom((3, 3), (3, 3), [(0, 1), (1, 0)])),
+    "R[Z4], u^4=-1": lambda: twisted_group_algebra(
+        make_group((4,)), lambda g, h: CycloScalar.one(1), (-1,)),
+    "H4 x C2": lambda: tensor_product(
+        catalog("H4"), catalog("C2"), make_group((2, 2, 2)),
+        _hom((2, 2), (2, 2, 2), [(1, 0, 0), (0, 1, 0)]),
+        _hom((2,), (2, 2, 2), [(0, 0, 1)])),
+    "C2 x C2 x C2": _c2_cubed,
+    "H4 x H4": lambda: _into_z2_4("H4", "H4"),
+    "M2_4 x M2_4": lambda: _into_z2_4("M2_4", "M2_4"),
+    "H4 x M2_4": lambda: _into_z2_4("H4", "M2_4"),
+})
+
+
+def _scalar_text(s):
+    return f"({s.conductor},{list(s.num)},{s.den})"
+
+
+def _element_text(x):
+    if x is None:
+        return "None"
+    return "{" + ",".join(f"{i}:{_scalar_text(c)}"
+                          for i, c in sorted(x.coeffs.items())) + "}"
+
+
+def _subgroup_text(h):
+    return "None" if h is None else str(sorted(str(g) for g in h.elements))
+
+
+def _table_text(t):
+    if t is None:
+        return "None"
+    cells = ";".join(_scalar_text(t.values[(g, h)]) for g in t.domain for h in t.domain)
+    return (f"{t.flavor}|{[str(g) for g in t.domain]}|{cells}|"
+            f"{list(t.violations)}|{_element_text(t.unit)}")
+
+
+def report_text(rep):
+    """The type tag, the supports, every table cell as (conductor, num, den)
+    in domain order, the violations, the complex unit's coefficients, the
+    notes and the quotient data, one per line."""
+    quotient = "None"
+    if rep.quotient is not None:
+        q = rep.quotient
+        quotient = (f"{q.theta.codomain}|{[str(x) for x in q.theta.generator_images]}|"
+                    f"{_subgroup_text(q.supp_r)}|{_table_text(q.bichar)}")
+    return "\n".join([rep.type_tag, _subgroup_text(rep.supp),
+                      _subgroup_text(rep.central_support), _subgroup_text(rep.supp_r),
+                      _table_text(rep.bichar), _element_text(rep.complex_unit),
+                      str(rep.notes), quotient])
+
+
+# sha256 of report_text(classify(...)), computed before classify was sped up
+REPORT_DIGESTS = {
+    "C2":
+        "59acfd26eb2c08465aa4893d44e3f7343c48971ec2ea8a5b4e538d3beb086917",
+    "C2 on <a^2>":
+        "a3cc8b5f5e433a5b3704801815ff7fbda0f95079a85c9d5b09e6c36b8ec8a3a8",
+    "C2 x C2 x C2":
+        "fe09404f109ee77cb366b1dbb8c08d0d7b1b4f2a03b53e26ef1cdce7d50212df",
+    "H2":
+        "479c8af34bd9a9791c2c742fb30c8dba198a53a55e96d7032775ed8bbcc33108",
+    "H4":
+        "7a127320389d5a871e9d2959bfc4b51bfdf72f17bee0ebf86a593be1ec574a02",
+    "H4 swapped":
+        "7a127320389d5a871e9d2959bfc4b51bfdf72f17bee0ebf86a593be1ec574a02",
+    "H4 x C2":
+        "25cad26e345afba887606dd0ad1ac27e6b73c24e8d5d629366606e681c6f6b83",
+    "H4 x H4":
+        "09302ae261ecdf75653e778847661d3883584e1753fbd90bed9b37c08a8f53ab",
+    "H4 x M2_4":
+        "09302ae261ecdf75653e778847661d3883584e1753fbd90bed9b37c08a8f53ab",
+    "H4/(a,b->a)":
+        "479c8af34bd9a9791c2c742fb30c8dba198a53a55e96d7032775ed8bbcc33108",
+    "M2C_Z4":
+        "3e4eef17f44c3cfc543fc5c48fe61b4d8641c3b8f1aad414119f6d386dd47c00",
+    "M2C_Z4 inverted":
+        "3e4eef17f44c3cfc543fc5c48fe61b4d8641c3b8f1aad414119f6d386dd47c00",
+    "M2_2":
+        "479c8af34bd9a9791c2c742fb30c8dba198a53a55e96d7032775ed8bbcc33108",
+    "M2_4":
+        "7a127320389d5a871e9d2959bfc4b51bfdf72f17bee0ebf86a593be1ec574a02",
+    "M2_4 sheared":
+        "7a127320389d5a871e9d2959bfc4b51bfdf72f17bee0ebf86a593be1ec574a02",
+    "M2_4 x M2_4":
+        "09302ae261ecdf75653e778847661d3883584e1753fbd90bed9b37c08a8f53ab",
+    "M2_8":
+        "25cad26e345afba887606dd0ad1ac27e6b73c24e8d5d629366606e681c6f6b83",
+    "M2_8/(drop last)":
+        "739e7bce01be20e67d3b5b7827657aa1291582253cc327cc5602ccf6b93024ab",
+    "M4_4":
+        "11dac8d8d8310ba17e11fc1a6d0b39a698919dfc514f8f8107ac0aa2dfcc75e2",
+    "R[Z4], u^4=-1":
+        "59ee29efacf5174c08e69ea89fc09f55e0b6ea88179511bfd851313675796c4d",
+    "pauli(2,1)":
+        "739e7bce01be20e67d3b5b7827657aa1291582253cc327cc5602ccf6b93024ab",
+    "pauli(3,1)":
+        "1f2637761e604e79871852a5800b2a80fca977b01a0017e4accc0ee449b43a3d",
+    "pauli(3,1) swapped":
+        "b3e699c8800a7e07bea9984ef7b349fe1e10c552590cf490819294d778326c47",
+    "pauli(3,2)":
+        "b3e699c8800a7e07bea9984ef7b349fe1e10c552590cf490819294d778326c47",
+    "pauli(4,1)":
+        "58a83daf5f9f0a1102efa637e40073885ed4c410faf9f5eb5eade67c94a9568e",
+    "pauli(4,3)":
+        "05d6740fdb6932cf84a6275b9330f37b2f270cc582f3ce1135c7420e90695bd3",
+    "quat_trivial":
+        "e8f8a1a3e003a8c47082a49db9f5e851101b9e5cab80e0b1e12aeaa5502ca8ff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_classification_reports_are_pinned(name):
+    text = report_text(classify(PINNED[name]()))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name]
+
+
+def _trivially_graded(a):
+    z1 = make_group((1,))
+    return quotient_grading(a, make_hom(a.group, z1, [z1.identity] * a.group.rank))
+
+
+NOT_DIVISION = {
+    # (constructor, verdict, reason, witness)
+    "M2(R) by (e,a)": (
+        lambda: matrix_over_division(TripleSpec(
+            Subgroup.trivial(make_group((2,))), trivially_graded_reals(make_group((2,))),
+            (make_group((2,)).identity, make_group((2,)).element((1,))))),
+        "no", "basis element 1E11 is not invertible", "{0:(4,[1, 0],1)}"),
+    "M2_4 trivial": (
+        lambda: _trivially_graded(catalog("M2_4")),
+        "no", "indefinite quaternary norm form",
+        "{0:(4,[-1, 0],1),1:(4,[-1, 0],1),2:(4,[-1, 0],1),3:(4,[-1, 0],1)}"),
+    "R[Z2] trivial": (
+        lambda: _trivially_graded(twisted_group_algebra(
+            make_group((2,)), lambda g, h: CycloScalar.one(1))),
+        "no", "indefinite or degenerate binary norm form",
+        "{0:(4,[-2, 0],1),1:(4,[-2, 0],1)}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED) + sorted(NOT_DIVISION))
+def test_division_verdicts_are_pinned(name):
+    if name in PINNED:
+        a, verdict, reason, witness = PINNED[name](), "yes", (
+            "e-component is a division algebra and all basis elements are "
+            "invertible"), "None"
+    else:
+        build, verdict, reason, witness = NOT_DIVISION[name]
+        a = build()
+    got = check_graded_division(a)
+    assert (got.verdict, got.reason, _element_text(got.witness)) == \
+        (verdict, reason, witness)
 
 
 # -- division equivalence ----------------------------------------------------------
