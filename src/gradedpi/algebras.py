@@ -114,9 +114,6 @@ class GradedAlgebra:
     def component(self, g: GroupElement) -> tuple[int, ...]:
         return self._components.get(g, ())
 
-    def component_dims(self) -> dict[GroupElement, int]:
-        return {g: len(v) for g, v in self._components.items()}
-
     def support(self) -> tuple[GroupElement, ...]:
         return tuple(sorted(self._components))
 
@@ -255,12 +252,6 @@ class AlgebraElement:
         """Degree of a nonzero homogeneous element, None if mixed or zero."""
         degs = {self.parent.degrees[i] for i in self.coeffs}
         return next(iter(degs)) if len(degs) == 1 else None
-
-    def homogeneous_components(self) -> dict[GroupElement, "AlgebraElement"]:
-        out: dict[GroupElement, dict] = {}
-        for i, c in self.coeffs.items():
-            out.setdefault(self.parent.degrees[i], {})[i] = c
-        return {g: AlgebraElement(self.parent, d) for g, d in out.items()}
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
@@ -783,9 +774,8 @@ def _catalog_m2_2():
     z2 = FinAbGroup((2,))
     theta = GroupHom(m24.group, z2, (z2.element((1,)), z2.element((1,))))
     out = quotient_grading(m24, theta)
-    return GradedAlgebra(out.group, out.conductor, out.labels, out.degrees,
-                         out.table, out.unit,
-                         provenance="catalog:M2_2 (division grading)")
+    out.provenance = "catalog:M2_2 (division grading)"
+    return out
 
 
 def _catalog_h2():
@@ -793,9 +783,8 @@ def _catalog_h2():
     z2 = FinAbGroup((2,))
     theta = GroupHom(h4.group, z2, (z2.element((0,)), z2.element((1,))))
     out = quotient_grading(h4, theta)
-    return GradedAlgebra(out.group, out.conductor, out.labels, out.degrees,
-                         out.table, out.unit,
-                         provenance="catalog:H2 (division grading)")
+    out.provenance = "catalog:H2 (division grading)"
+    return out
 
 
 def _catalog_m2c_z4():
@@ -866,9 +855,8 @@ def _catalog_m2_8():
     ea = GroupHom(m24.group, g, (g.element((1, 0, 0)), g.element((0, 1, 0))))
     eb = GroupHom(c2.group, g, (g.element((0, 0, 1)),))
     out = tensor_product(m24, c2, g, ea, eb)
-    return GradedAlgebra(out.group, out.conductor, out.labels, out.degrees,
-                         out.table, out.unit,
-                         provenance="catalog:M2_8 (division grading)")
+    out.provenance = "catalog:M2_8 (division grading)"
+    return out
 
 
 def _catalog_m4_4():
@@ -876,9 +864,8 @@ def _catalog_m4_4():
     g = h4.group
     ident = GroupHom(g, g, g.generators())
     out = tensor_product(h4, qt, g, ident, ident)
-    return GradedAlgebra(out.group, out.conductor, out.labels, out.degrees,
-                         out.table, out.unit,
-                         provenance="catalog:M4_4 (division grading)")
+    out.provenance = "catalog:M4_4 (division grading)"
+    return out
 
 
 _CATALOG_BUILDERS = {

@@ -141,12 +141,10 @@ def cache_put(key: str, value: dict, directory: str | None = None) -> CacheEntry
     return CacheEntry(key, value)
 
 
-def cached_identity_space(a: GradedAlgebra, degrees, enabled: bool = True,
+def cached_identity_space(a: GradedAlgebra, degrees,
                           directory: str | None = None) -> IdentitySpace:
     """identity_space with a persistent layer under the in-memory one."""
     degrees = tuple(degrees)
-    if not enabled:
-        return identity_space(a, degrees)
     hit = a._mul_cache.get(degrees)
     if hit is not None:
         return hit

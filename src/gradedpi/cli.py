@@ -23,7 +23,8 @@ from .algebras import (GradedAlgebra, TripleSpec, catalog_names,
 from .cache import cached_identity_space, default_cache_dir
 from .errors import (GradedPIError, InvariantViolation, PolynomialSyntaxError,
                      PreconditionError, SpecFormatError)
-from .identities import is_identity, parse_polynomial, same_identities_up_to
+from .identities import (identity_space, is_identity, parse_polynomial,
+                         same_identities_up_to)
 from .specfile import (format_element, format_scalar, load_algebra_file,
                        parse_algebra, parse_triple, serialize_algebra)
 from .structure import (BicharTable, ClassificationReport, classify,
@@ -209,8 +210,8 @@ def cmd_bichar(args) -> tuple[dict, int]:
 def cmd_idspace(args, use_cache: bool, cache_dir) -> tuple[dict, int]:
     a = load_ref(args.algebra)
     degrees = parse_degree_tuple(args.tuple, a.group)
-    space = cached_identity_space(a, degrees, enabled=use_cache,
-                                  directory=cache_dir)
+    space = (cached_identity_space(a, degrees, directory=cache_dir)
+             if use_cache else identity_space(a, degrees))
     return {"command": "idspace", "input": args.algebra,
             "degrees": [format_element(g) for g in degrees],
             "monomials": len(space.monomials()),

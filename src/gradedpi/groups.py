@@ -139,21 +139,12 @@ class Subgroup:
 
     @classmethod
     def generated_by(cls, parent: FinAbGroup, generators) -> "Subgroup":
-        current = {parent.identity}
-        frontier = list(generators)
-        for g in frontier:
+        generators = list(generators)
+        for g in generators:
             if g.group != parent:
                 raise PreconditionError("generator from wrong group")
-        changed = True
-        while changed:
-            changed = False
-            for g in list(current):
-                for h in frontier:
-                    prod = g * h
-                    if prod not in current:
-                        current.add(prod)
-                        changed = True
-        return cls(parent, current)
+        return cls(parent, _closure(lambda x, y: x * y, parent.identity,
+                                    generators))
 
     @classmethod
     def trivial(cls, parent: FinAbGroup) -> "Subgroup":
@@ -233,9 +224,6 @@ class GroupHom:
     def is_injective(self) -> bool:
         return self.kernel().order == 1
 
-    def is_bijective(self) -> bool:
-        return self.is_injective() and self.domain.order == self.codomain.order
-
     def __eq__(self, other):
         if not isinstance(other, GroupHom):
             return NotImplemented
@@ -310,7 +298,7 @@ def _order_in(elems_mul, g, identity):
     return k
 
 
-def _closure(elements, mul, identity, gens):
+def _closure(mul, identity, gens):
     out = {identity}
     frontier = list(gens)
     changed = True
@@ -349,7 +337,7 @@ def decompose_abelian(elements, mul, identity, prefer_first=None):
     n1 = orders[g1]
     if n1 == len(elems):
         return [n1], [g1]
-    cyc = _closure(elements, mul, identity, [g1])
+    cyc = _closure(mul, identity, [g1])
     target = len(elems) // n1
     # search complements among closures of small generator sets
     best = None
@@ -359,7 +347,7 @@ def decompose_abelian(elements, mul, identity, prefer_first=None):
     nontriv = [g for g in elems if g != identity]
     for size in range(1, max_gens + 1):
         for gens in itertools.combinations(nontriv, size):
-            c = _closure(elements, mul, identity, gens)
+            c = _closure(mul, identity, gens)
             if len(c) == target and len(c & cyc) == 1:
                 key = tuple(sorted(c))
                 if best is None or key < best[0]:

@@ -47,38 +47,57 @@ def _basis_pairs(a: GradedAlgebra, g: GroupElement, h: GroupElement):
 
 
 def _ratio(num: AlgebraElement, den: AlgebraElement):
-    """num / den when num = lambda * den for a scalar; None otherwise."""
+    """The one candidate lambda for num = lambda * den, read at den's least
+    basis index (None if num has no coefficient there); callers check it."""
     k = min(den.coeffs)
     lam = num.coeffs.get(k)
-    if lam is None:
-        return None
-    lam = lam / den.coeffs[k]
-    if num == den.scale(lam):
+    return None if lam is None else lam / den.coeffs[k]
+
+
+def _pair_factor(pairs, j: AlgebraElement | None = None):
+    """The lambda with x = lambda*y on every pair (x, y), or None.
+
+    Without j, lambda is real; with a validated central unit J it is
+    l1 + l2*i, acting as l1 + l2*J with l1, l2 real.  Zero rule of every
+    commutation factor: a pair with both sides zero is skipped, and the
+    answer is None when exactly one side of a pair vanishes or when every
+    pair vanishes.  lambda is solved from the first pair that does not
+    vanish (`_ratio`, or `_solve_two` on (y, J*y)) and must be real; each
+    pair, that one included, is checked once.
+    """
+    lam = None
+    for x, y in pairs:
+        if x.is_zero() != y.is_zero():
+            return None
+        if y.is_zero():
+            continue
+        if lam is None:
+            if j is None:
+                lam = _ratio(x, y)
+                if lam is None or not lam.is_real():
+                    return None
+            else:
+                sol = _solve_two(x, y, j * y)
+                if sol is None or not (sol[0].is_real() and sol[1].is_real()):
+                    return None
+                l1, l2 = sol
+                lam = j.parent.one().scale(l1) + j.scale(l2)
+        if x != (y.scale(lam) if j is None else lam * y):
+            return None
+    if lam is None or j is None:
         return lam
-    return None
+    m = _lcm(j.parent.conductor, 4)
+    return l1.promote(m) + l2.promote(m) * CycloScalar.root_of_unity(4, 1, m)
 
 
 def commutation_factor(a: GradedAlgebra, g: GroupElement, h: GroupElement):
     """The real lambda with xy = lambda*yx on A_g x A_h, or None.
 
-    Solved from the first nonvanishing basis pair, then verified against all
-    pairs (bilinearity makes basis pairs sufficient).  None when some pair
-    vanishes on one side only, when pairs disagree, or when every product
-    vanishes (no unique factor).
+    Bilinearity makes basis pairs sufficient.  The zero rule of
+    `_pair_factor` applies: None when some pair vanishes on one side only,
+    when every product vanishes (no unique factor), or when pairs disagree.
     """
-    lam = None
-    for ab, ba in _basis_pairs(a, g, h):
-        if ba.is_zero():
-            if ab.is_zero():
-                continue
-            return None
-        if lam is None:
-            lam = _ratio(ab, ba)
-            if lam is None or not lam.is_real():
-                return None
-        elif ab != ba.scale(lam):
-            return None
-    return lam
+    return _pair_factor(_basis_pairs(a, g, h))
 
 
 def _validate_complex_unit(a: GradedAlgebra, j: AlgebraElement):
@@ -96,38 +115,10 @@ def _validate_complex_unit(a: GradedAlgebra, j: AlgebraElement):
 
 def complex_commutation_factor(a: GradedAlgebra, g: GroupElement,
                                h: GroupElement, j: AlgebraElement):
-    """lambda1 + lambda2*i with xy = lambda1*yx + lambda2*J*yx, or None."""
+    """lambda1 + lambda2*i with xy = lambda1*yx + lambda2*J*yx, or None
+    (the zero rule of `commutation_factor`)."""
     _validate_complex_unit(a, j)
-    return _complex_factor(a, g, h, j)
-
-
-def _complex_factor(a: GradedAlgebra, g: GroupElement, h: GroupElement,
-                    j: AlgebraElement):
-    # complex_commutation_factor for a unit J already validated: (l1, l2) is
-    # solved from the first pair, then every pair is checked as one product
-    # ab == (l1 + l2*J) * ba
-    pairs = []
-    for ab, ba in _basis_pairs(a, g, h):
-        if ba.is_zero():
-            if ab.is_zero():
-                continue
-            return None
-        pairs.append((ab, ba))
-    if not pairs:
-        return None
-    ab, ba = pairs[0]
-    sol = _solve_two(ab, ba, j * ba)
-    if sol is None:
-        return None
-    l1, l2 = sol
-    factor = a.one().scale(l1) + j.scale(l2)
-    for ab, ba in pairs:
-        if ab != factor * ba:
-            return None
-    if not l1.is_real() or not l2.is_real():
-        return None
-    m = _lcm(a.conductor, 4)
-    return l1.promote(m) + l2.promote(m) * CycloScalar.root_of_unity(4, 1, m)
+    return _pair_factor(_basis_pairs(a, g, h), j)
 
 
 def _solve_two(target: AlgebraElement, u: AlgebraElement, v: AlgebraElement):
@@ -193,15 +184,11 @@ def _vector_element(a: GradedAlgebra, g: GroupElement, vec) -> AlgebraElement:
 
 def _unit_multiple(a: GradedAlgebra, x: AlgebraElement):
     """The scalar c with x = c * unit, or None."""
-    one = a.one()
     if x.is_zero():
         return CycloScalar.zero(a.conductor)
-    k = min(one.coeffs)
-    c = x.coeffs.get(k)
-    if c is None:
-        return None
-    c = c / one.coeffs[k]
-    return c if x == one.scale(c) else None
+    one = a.one()
+    c = _ratio(x, one)
+    return c if c is not None and x == one.scale(c) else None
 
 
 def _normalize_sign(j: AlgebraElement) -> AlgebraElement:
@@ -340,13 +327,17 @@ def bicharacter_table(a: GradedAlgebra, domain, flavor: str = "real",
         if unit is None:
             raise PreconditionError("complex tables need a complex unit J")
         _validate_complex_unit(a, unit)
+    j = unit if flavor == "complex" else None
+    row = lambda g: (_pair_factor(_basis_pairs(a, g, h), j) for h in dom)
+    return _factor_table(dom, row, flavor, unit)
+
+
+def _factor_table(dom, row, flavor="real", unit=None) -> BicharTable:
+    """The checked table whose row at g lists the factors row(g) over dom;
+    PreconditionError at the first cell without a factor."""
     values = {}
     for g in dom:
-        for h in dom:
-            if flavor == "real":
-                lam = commutation_factor(a, g, h)
-            else:
-                lam = _complex_factor(a, g, h, unit)
+        for h, lam in zip(dom, row(g)):
             if lam is None:
                 raise PreconditionError(
                     f"no commutation factor on the pair ({g}, {h})")
@@ -436,23 +427,8 @@ def _hall_products(a: GradedAlgebra, g: GroupElement) -> list[AlgebraElement]:
 
 def _hall_factor(products: list[AlgebraElement], hbasis):
     """The real lambda with p z = lambda z p for every product p and every z
-    in hbasis, or None."""
-    lam = None
-    for p in products:
-        for z in hbasis:
-            lhs = p * z
-            rhs = z * p
-            if rhs.is_zero():
-                if lhs.is_zero():
-                    continue
-                return None
-            if lam is None:
-                lam = _ratio(lhs, rhs)
-                if lam is None or not lam.is_real():
-                    return None
-            elif lhs != rhs.scale(lam):
-                return None
-    return lam
+    in hbasis, or None (the zero rule of `commutation_factor`)."""
+    return _pair_factor((p * z, z * p) for p in products for z in hbasis)
 
 
 def bicharacter_via_hall(a: GradedAlgebra, g: GroupElement, h: GroupElement):
@@ -461,6 +437,18 @@ def bicharacter_via_hall(a: GradedAlgebra, g: GroupElement, h: GroupElement):
     evaluations all vanish or no single lambda works.
     """
     return _hall_factor(_hall_products(a, g), a.component_basis(h))
+
+
+def _hall_table(a: GradedAlgebra, domain: Subgroup) -> BicharTable:
+    """bicharacter_via_hall on domain, each row's Hall products made once."""
+    dom = domain.elements
+    bases = {h: a.component_basis(h) for h in dom}
+
+    def row(g):
+        products = _hall_products(a, g)
+        return (_hall_factor(products, bases[h]) for h in dom)
+
+    return _factor_table(dom, row)
 
 
 # -- support invariants ------------------------------------------------------
@@ -479,35 +467,10 @@ def commuting_support(a: GradedAlgebra) -> tuple[GroupElement, ...]:
 
 def central_support(a: GradedAlgebra) -> Subgroup | None:
     """commuting_support as a subgroup, or None when it is not one."""
-    elems = commuting_support(a)
     try:
-        return Subgroup(a.group, elems)
+        return Subgroup(a.group, commuting_support(a))
     except PreconditionError:
         return None
-
-
-def division_part_support(a: GradedAlgebra) -> tuple[GroupElement, ...]:
-    """Diagnostic recovery of the division-part support of a matrix grading.
-
-    Uses x_e as a central polynomial, which is only valid when A_e is
-    commutative: reports the degrees whose component commutes with A_e and
-    multiplies it nontrivially.
-    """
-    e = a.group.identity
-    ebasis = a.component_basis(e)
-    for x in ebasis:
-        for y in ebasis:
-            if x * y != y * x:
-                raise PreconditionError(
-                    "diagnostic needs a commutative e-component")
-    out = []
-    for g in a.support():
-        gb = a.component_basis(g)
-        if all((x * y) == (y * x) for x in ebasis for y in gb) and \
-                any(not (x * y).is_zero() or not (y * x).is_zero()
-                    for x in ebasis for y in gb):
-            out.append(g)
-    return tuple(out)
 
 
 # -- classification ----------------------------------------------------------
@@ -544,9 +507,10 @@ def _require_division(a: GradedAlgebra):
         f"not (verifiably) a graded division algebra: {verdict.reason}")
 
 
-def _table_or_violation(a, domain, flavor="real", unit=None) -> BicharTable:
+def _table_or_violation(build, *args) -> BicharTable:
+    """build(*args), a table that must exist and satisfy the axioms."""
     try:
-        table = bicharacter_table(a, domain, flavor, unit)
+        table = build(*args)
     except PreconditionError as err:
         raise InvariantViolation(
             f"inconsistent structure: {err}") from err
@@ -574,25 +538,11 @@ def _classify(a: GradedAlgebra) -> ClassificationReport:
     d_e = len(a.component(e))
     notes = []
     if d_e == 1:
-        table = _table_or_violation(a, supp)
+        table = _table_or_violation(bicharacter_table, a, supp)
         return ClassificationReport("I", supp, supp, supp, table,
                                     notes=["regular grading, real e-component"])
     if d_e == 4:
-        dom = supp.elements
-        bases = {h: a.component_basis(h) for h in dom}
-        values = {}
-        for g in dom:
-            products = _hall_products(a, g)
-            for h in dom:
-                lam = _hall_factor(products, bases[h])
-                if lam is None:
-                    raise InvariantViolation(
-                        f"inconsistent structure: no Hall factor at ({g}, {h})")
-                values[(g, h)] = lam
-        table = BicharTable.checked(dom, values)
-        if table.violations:
-            raise InvariantViolation(
-                "inconsistent structure: " + "; ".join(table.violations))
+        table = _table_or_violation(_hall_table, a, supp)
         cs = central_support(a)
         return ClassificationReport("III", supp, cs, supp, table,
                                     notes=["quaternion e-component"])
@@ -601,14 +551,13 @@ def _classify(a: GradedAlgebra) -> ClassificationReport:
             f"e-component of a real division grading has dimension 1, 2 or 4, "
             f"got {d_e}")
     cs = central_support(a)
-    commuting = set(commuting_support(a))
-    if commuting == set(supp.elements):
+    if cs == supp:
         j = find_complex_unit(a)
         if j is None:
             raise PreconditionError(
                 "central complex e-component but no constructible complex unit "
                 "(irrational center constants are not handled)")
-        table = _table_or_violation(a, supp, "complex", j)
+        table = _table_or_violation(bicharacter_table, a, supp, "complex", j)
         if table.is_real():
             return ClassificationReport("I", supp, cs, supp, table, complex_unit=j,
                                         notes=["regular grading, central complex "
@@ -621,7 +570,7 @@ def _classify(a: GradedAlgebra) -> ClassificationReport:
             "commuting support of a Type II division grading must be a subgroup")
     j = find_complex_unit(a)
     if is_elementary_2group(supp):
-        table = _table_or_violation(a, cs)
+        table = _table_or_violation(bicharacter_table, a, cs)
         return ClassificationReport("II", supp, cs, cs, table, complex_unit=j,
                                     notes=["standard case: elementary 2-group "
                                            "support"])
@@ -632,7 +581,7 @@ def _classify(a: GradedAlgebra) -> ClassificationReport:
     if qcs is None:
         raise InvariantViolation(
             "commuting support of the quotient grading must be a subgroup")
-    qtable = _table_or_violation(atheta, qcs)
+    qtable = _table_or_violation(bicharacter_table, atheta, qcs)
     notes.append(f"quotient by the squares subgroup of order {g2.order}")
     if j is not None:
         notes.append(f"central complex unit found in degree {j.degree()}")
@@ -755,7 +704,7 @@ def normalize_triple(spec: TripleSpec) -> TripleSpec:
         raise InvariantViolation(
             "central support must have index 2 in the support for Type II")
     a_elt = min(supp_elems - set(h.elements))
-    table = _table_or_violation(d, h)
+    table = _table_or_violation(bicharacter_table, d, h)
     g0 = None
     if rep.quotient is not None:
         if rep.complex_unit is not None:

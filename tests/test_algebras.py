@@ -280,7 +280,9 @@ def test_unequal_component_dimensions_are_not_invertible():
     m3 = matrix_over_division(TripleSpec(Subgroup.trivial(g),
                                          trivially_graded_reals(g),
                                          (g.identity, g.identity, g.element((1,)))))
-    assert m3.component_dims() == {g.identity: 5, g.element((1,)): 4}
+    assert m3.support() == (g.identity, g.element((1,)))
+    assert (len(m3.component(g.identity)),
+            len(m3.component(g.element((1,))))) == (5, 4)
     e13 = m3.basis_element(m3.label_index("1E13"))
     block = left_multiplication_matrix(e13, m3.component(g.identity),
                                        m3.component(g.element((1,))))
@@ -310,9 +312,11 @@ def test_element_degree_and_components():
     assert i.degree() == a.degrees[1]
     mixed = i + j
     assert mixed.degree() is None
-    comps = mixed.homogeneous_components()
-    assert set(comps) == {a.degrees[1], a.degrees[2]}
-    assert comps[a.degrees[1]] == i
+    parts = {g: a.element({k: c for k, c in mixed.coeffs.items()
+                           if k in a.component(g)}) for g in a.support()}
+    assert {p.degree() for p in parts.values() if not p.is_zero()} == \
+        {a.degrees[1], a.degrees[2]}
+    assert parts[a.degrees[1]] == i
 
 
 def test_element_scaling_and_subtraction():
@@ -436,8 +440,9 @@ def test_quotient_grading_merges_components():
     q = quotient_grading(h4, theta)
     assert q.dim == 4
     assert validate(q).ok
-    dims = q.component_dims()
-    assert dims[z2.identity] == 2 and dims[z2.element((1,))] == 2
+    assert q.support() == (z2.identity, z2.element((1,)))
+    assert len(q.component(z2.identity)) == 2
+    assert len(q.component(z2.element((1,)))) == 2
 
 
 def test_regrade_requires_injective():
@@ -460,8 +465,9 @@ def test_matrix_over_division_shapes():
     assert m2.dim == 4
     assert validate(m2).ok
     # entry degrees g_i^-1 h g_j: offdiagonal cells pick up degree a
-    dims = m2.component_dims()
-    assert dims[g.identity] == 2 and dims[g.element((1,))] == 2
+    assert m2.support() == (g.identity, g.element((1,)))
+    assert len(m2.component(g.identity)) == 2
+    assert len(m2.component(g.element((1,)))) == 2
 
 
 def test_matrix_over_division_respects_division_degrees():

@@ -188,15 +188,6 @@ def test_cached_identity_space_hits_disk_then_memory(tmp_path):
     assert cached_identity_space(b, degs, directory=d) is s2
 
 
-def test_cached_identity_space_disabled(tmp_path):
-    d = str(tmp_path)
-    a = catalog("C2")
-    degs = degrees_of(a, (1,), (1,))
-    s = cached_identity_space(a, degs, enabled=False, directory=d)
-    assert s.dimension == identity_space(a, degs).dimension
-    assert not os.listdir(d) if os.path.isdir(d) else True
-
-
 def assert_entry_is_replaced(d, degs, payload, capsys):
     """A payload planted for H4 at degs is reported as corrupt, recomputed
     and overwritten."""

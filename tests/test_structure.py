@@ -12,10 +12,10 @@ from math import gcd
 
 import pytest
 
-from gradedpi.algebras import (TripleSpec, catalog, check_graded_division,
-                               matrix_over_division, quotient_grading,
-                               regrade, tensor_product, trivially_graded_reals,
-                               twisted_group_algebra)
+from gradedpi.algebras import (GradedAlgebra, TripleSpec, catalog,
+                               check_graded_division, matrix_over_division,
+                               quotient_grading, regrade, tensor_product,
+                               trivially_graded_reals, twisted_group_algebra)
 from gradedpi.errors import InvariantViolation, PreconditionError
 from gradedpi.groups import Subgroup, make_group, make_hom
 from gradedpi.identities import same_identities_up_to
@@ -24,9 +24,8 @@ from gradedpi.structure import (BicharTable, bicharacter_table,
                                 bicharacter_via_hall,
                                 central_support, classify, commutation_factor,
                                 commuting_support, complex_commutation_factor,
-                                division_part_support, equiv_division,
-                                equiv_matrix_over_division, find_complex_unit,
-                                normalize_triple)
+                                equiv_division, equiv_matrix_over_division,
+                                find_complex_unit, normalize_triple)
 
 
 def elem(a, exps):
@@ -89,6 +88,52 @@ def test_complex_factor_validates_the_unit():
     with pytest.raises(PreconditionError):
         complex_commutation_factor(a, elem(a, (1, 0)), elem(a, (0, 1)),
                                    a.one())  # 1^2 != -1
+
+
+def upper_triangular_complex_3x3(g, tup):
+    """Upper-triangular complex 3x3 matrices as a real algebra, basis e_ij
+    and i*e_ij (i <= j), e_ij of degree tup[i]^-1 tup[j]; J = i*unit."""
+    cells = [(r, c, s) for r in range(3) for c in range(r, 3) for s in (0, 1)]
+    index = {cell: n for n, cell in enumerate(cells)}
+    table = {}
+    for (r, c, s), m in index.items():
+        for (r2, c2, t), n in index.items():
+            if c == r2:  # i^s * i^t = (-1)^(s*t) * i^((s+t) mod 2)
+                table[(m, n)] = ((index[(r, c2, (s + t) % 2)],
+                                  (-1) ** (s * t)),)
+    labels = [("i" if s else "") + f"e{r + 1}{c + 1}" for r, c, s in cells]
+    degrees = [tup[r].inverse() * tup[c] for r, c, _ in cells]
+    unit = {index[(k, k, 0)]: 1 for k in range(3)}
+    a = GradedAlgebra(g, 4, labels, degrees, table, unit)
+    j = a.element({index[(k, k, 1)]: 1 for k in range(3)})
+    return a, j
+
+
+def test_one_sided_zero_has_no_factor_real_or_complex():
+    # graded by Z2^2 through (e, (1,0), (0,1)): e23 * e12 = 0 while
+    # e12 * e23 = e13, so there is no lambda with xy = lambda*yx, real or
+    # complex
+    z22 = make_group((2, 2))
+    a, j = upper_triangular_complex_3x3(
+        z22, (z22.identity, z22.element((1, 0)), z22.element((0, 1))))
+    e, d10, d11 = elem(a, (0, 0)), elem(a, (1, 0)), elem(a, (1, 1))
+    unit_of = lambda s: a.basis_element(a.label_index(s))
+    assert (unit_of("e23") * unit_of("e12")).is_zero()
+    assert unit_of("e12") * unit_of("e23") == unit_of("e13")
+    for g, h in [(d11, d10), (d10, d11)]:
+        assert commutation_factor(a, g, h) is None
+        assert complex_commutation_factor(a, g, h, j) is None
+    # every pair vanishes on A_(1,0) x A_(1,0): no factor either
+    assert commutation_factor(a, d10, d10) is None
+    assert complex_commutation_factor(a, d10, d10, j) is None
+    # the diagonal commutes
+    assert commutation_factor(a, e, e) == CycloScalar.one(1)
+    assert complex_commutation_factor(a, e, e, j) == CycloScalar.one(4)
+    # trivially graded, A_e x A_e mixes one-sided pairs (e11 * e12 = e12,
+    # e12 * e11 = 0) with pairs that commute: still no factor
+    a, j = upper_triangular_complex_3x3(z22, (z22.identity,) * 3)
+    assert commutation_factor(a, e, e) is None
+    assert complex_commutation_factor(a, e, e, j) is None
 
 
 # -- complex units -------------------------------------------------------------
@@ -385,15 +430,6 @@ def test_commuting_and_central_supports():
 
     h4 = catalog("H4")
     assert central_support(h4) == h4.support_subgroup()
-
-
-def test_division_part_support_recovers_matrix_block_degrees():
-    g = make_group((4,))
-    c2 = catalog("C2")
-    d = regrade(c2, make_hom(c2.group, g, [g.element((2,))]))
-    h = Subgroup.generated_by(g, [g.element((2,))])
-    m = matrix_over_division(TripleSpec(h, d, (g.identity, g.element((1,)))))
-    assert set(division_part_support(m)) == {g.identity, g.element((2,))}
 
 
 # -- classification --------------------------------------------------------------
