@@ -10,6 +10,17 @@ everything else can be checked with `check_graded_division`, whose criterion
 is: the e-component is a real division algebra and every homogeneous basis
 element is invertible (then each component A_g equals u*A_e for any invertible
 u in it, so all nonzero homogeneous elements are invertible).
+
+Whether A_e is a division algebra is decided by its trace form
+T(x, y) = Tr(L_xy): for dim A_e in {2, 4}, A_e is a division algebra exactly
+when T is negative definite on the T-orthogonal complement of the unit.  T is
+nondegenerate only when A_e is semisimple (the radical lies in its kernel,
+since L_xy is nilpotent for x in the radical, and a semisimple algebra has
+a nondegenerate trace form).  The semisimple real algebras of dimension 2 and
+4 are R x R, C, R^4, R x R x C, C x C, M_2(R) and H, and of these only C
+and H give T the signature (1, d - 1): T(1, 1) = d > 0 and, on the
+complement, T(x, x) = d * Re(x^2) < 0 for the pure imaginary x.  Frobenius's
+theorem leaves dimensions 1, 2 and 4; dimension 1 is R.
 """
 
 from __future__ import annotations
@@ -21,8 +32,7 @@ from math import gcd
 
 from .errors import PreconditionError
 from .groups import FinAbGroup, GroupElement, GroupHom, Subgroup
-from .scalars import (CycloScalar, RowReducer, sqrt_of_rational_in_field,
-                      totient)
+from .scalars import CycloScalar, RowReducer, totient
 
 
 def _lcm(a: int, b: int) -> int:
@@ -470,92 +480,7 @@ class DivisionVerdict:
         return self.verdict == "yes"
 
 
-def _det2_form(mu, mv):
-    # det(s*Mu + t*Mv) coefficients (s^2, st, t^2) for 2x2 matrices.
-    a, b = mu, mv
-    s2 = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    t2 = b[0][0] * b[1][1] - b[0][1] * b[1][0]
-    st = a[0][0] * b[1][1] + b[0][0] * a[1][1] - a[0][1] * b[1][0] - b[0][1] * a[1][0]
-    return s2, st, t2
-
-
-class _Poly:
-    """Tiny multivariate polynomial with CycloScalar coefficients."""
-
-    def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def variable_form(cls, nvars, coeffs):
-        # linear form sum coeffs[s] * x_s
-        t = {}
-        for s, c in enumerate(coeffs):
-            if not c.is_zero():
-                key = tuple(1 if v == s else 0 for v in range(nvars))
-                t[key] = c
-        return cls(nvars, t)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return _Poly(self.nvars, out)
-
-    def __neg__(self):
-        return _Poly(self.nvars, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                prod = c1 * c2
-                prev = out.get(key)
-                s = prod if prev is None else prev + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return _Poly(self.nvars, out)
-
-    def coeff(self, key):
-        return self.terms.get(key)
-
-    def is_zero(self):
-        return not self.terms
-
-
-def _det_poly(mats):
-    """det(sum_s x_s * mats[s]) as a _Poly; mats are d x d CycloScalar matrices."""
-    d = len(mats[0])
-    nvars = len(mats)
-    entry = [[_Poly.variable_form(nvars, [m[i][j] for m in mats]) for j in range(d)]
-             for i in range(d)]
-    total = _Poly(nvars)
-    for perm in itertools.permutations(range(d)):
-        sign = 1
-        seen = list(perm)
-        for i in range(d):  # count inversions
-            for j in range(i + 1, d):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = entry[0][perm[0]]
-        for i in range(1, d):
-            term = term * entry[i][perm[i]]
-        total = total + (term if sign > 0 else -term)
-    return total
-
-
-def _search_noninvertible(a: GradedAlgebra, indices, bound=1):
+def _search_noninvertible(a: GradedAlgebra, indices, bound):
     vals = range(-bound, bound + 1)
     for combo in itertools.product(vals, repeat=len(indices)):
         if not any(combo):
@@ -568,83 +493,39 @@ def _search_noninvertible(a: GradedAlgebra, indices, bound=1):
 
 
 def _e_component_division(a: GradedAlgebra) -> DivisionVerdict:
+    """Decide whether A_e is a real division algebra by its trace form.
+
+    T(x, y) = Tr(L_xy) on A_e.  For d = dim A_e in {2, 4}, A_e is a division
+    algebra exactly when T is negative definite on the T-orthogonal
+    complement of the unit (see the module docstring for why), which holds
+    exactly when every leading principal minor of the negated form is
+    positive.  A "no" carries a non-invertible element of A_e found among the
+    small integer combinations of its basis, or None when there is none.
+    Dimension 1 is R; any other dimension is reported as undecided.
+    """
     e_idx = list(a.component(a.group.identity))
     d = len(e_idx)
     if d == 1:
         return DivisionVerdict("yes", reason="e-component is spanned by the unit")
+    if d not in (2, 4):
+        return DivisionVerdict(
+            "undecided", reason=f"e-component of dimension {d} is outside the decided cases")
+    # with b_i = basis[e_idx[i]], mats[i][k][j] is the coefficient of b_k in b_i b_j
     mats = [left_multiplication_matrix(a.basis_element(t), e_idx) for t in e_idx]
-    if d == 2:
-        s2, st, t2 = _det2_form(mats[0], mats[1])
-        disc = st * st - 4 * (s2 * t2)
-        if not disc.is_real():
-            raise PreconditionError("norm-form discriminant is not real")
-        if disc.sign() < 0 and not s2.is_zero():
-            return DivisionVerdict("yes", reason="definite binary norm form")
-        w = _search_noninvertible(a, e_idx, bound=2)
-        return DivisionVerdict("no", witness=w,
-                               reason="indefinite or degenerate binary norm form")
-    if d == 4:
-        quartic = _det_poly(mats)
-        e4 = [tuple(4 if v == s else 0 for v in range(4)) for s in range(4)]
-        c1 = quartic.coeff(e4[0])
-        if c1 is None:
-            return DivisionVerdict("no", witness=a.basis_element(e_idx[0]),
-                                   reason="a basis element of the e-component is singular")
-        if not c1.is_rational():
-            return DivisionVerdict("undecided",
-                                   reason="quartic leading coefficient is irrational")
-        a11 = sqrt_of_rational_in_field(c1.as_fraction(), a.conductor)
-        if c1.as_fraction() < 0 or a11 is None:
-            if c1.as_fraction() < 0:
-                w = _search_noninvertible(a, e_idx)
-                return DivisionVerdict("no", witness=w,
-                                       reason="norm quartic is negative at a basis vector")
-            return DivisionVerdict("undecided",
-                                   reason="square root of quartic coefficient not in field")
-        half = Fraction(1, 2)
-        q = {(0, 0): a11}
-        for j in range(1, 4):
-            key = tuple(3 if v == 0 else (1 if v == j else 0) for v in range(4))
-            c = quartic.coeff(key) or CycloScalar.zero(a.conductor)
-            q[(0, j)] = c / (2 * a11)
-        for j in range(1, 4):
-            key = tuple(2 if v in (0, j) else 0 for v in range(4))
-            c = quartic.coeff(key) or CycloScalar.zero(a.conductor)
-            q[(j, j)] = (c - q[(0, j)] * q[(0, j)]) / (2 * a11)
-        for j in range(1, 4):
-            for k in range(j + 1, 4):
-                key = tuple(2 if v == 0 else (1 if v in (j, k) else 0) for v in range(4))
-                c = quartic.coeff(key) or CycloScalar.zero(a.conductor)
-                q[(j, k)] = (c - 2 * (q[(0, j)] * q[(0, k)])) / (2 * a11)
-        qpoly = _Poly(4)
-        for (i, j), c in q.items():
-            key = tuple((2 if i == j else 1) if v in (i, j) else 0 for v in range(4))
-            qpoly = qpoly + _Poly(4, {key: c})
-        if not (qpoly * qpoly - quartic).is_zero():
-            w = _search_noninvertible(a, e_idx)
-            return DivisionVerdict("no", witness=w,
-                                   reason="norm quartic is not the square of a quadratic form")
-        # definiteness of q via leading principal minors (q or -q positive definite)
-        m = [[None] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(4):
-                if i == j:
-                    m[i][j] = q[(i, i)]
-                else:
-                    m[i][j] = q[(min(i, j), max(i, j))] * half
-        minors = []
-        for k in range(1, 5):
-            sub = [[m[i][j] for j in range(k)] for i in range(k)]
-            minors.append(_field_det(sub))
-        signs = [x.sign() for x in minors]
-        pos_def = all(s > 0 for s in signs)
-        neg_def = all(s > 0 if k % 2 == 0 else s < 0 for k, s in enumerate(signs, start=1))
-        if pos_def or neg_def:
-            return DivisionVerdict("yes", reason="norm quartic is the square of a definite form")
-        w = _search_noninvertible(a, e_idx)
-        return DivisionVerdict("no", witness=w, reason="indefinite quaternary norm form")
-    return DivisionVerdict("undecided",
-                           reason=f"e-component of dimension {d} is outside the decided cases")
+    tr = [sum(m[k][k] for k in range(d)) for m in mats]
+    # T(b_i, 1) = Tr(L_b_i) and T(1, 1) = d, so projecting b_i off the unit
+    # leaves the form T(b_i, b_j) - tr_i tr_j / d on the complement, where the
+    # b_i other than one with a unit coefficient form a basis
+    drop = e_idx.index(min(a.unit))
+    keep = [i for i in range(d) if i != drop]
+    form = [[tr[i] * tr[j] / d - sum(mats[i][k][j] * tr[k] for k in range(d))
+             for j in keep] for i in keep]
+    size = "binary" if d == 2 else "quaternary"
+    if all(_field_det([row[:k] for row in form[:k]]).sign() > 0 for k in range(1, d)):
+        return DivisionVerdict("yes", reason=f"definite {size} norm form")
+    w = _search_noninvertible(a, e_idx, bound=2 if d == 2 else 1)
+    return DivisionVerdict("no", witness=w,
+                           reason=f"indefinite or degenerate {size} norm form")
 
 
 def _field_det(mat):
@@ -670,7 +551,17 @@ def _field_det(mat):
 
 
 def check_graded_division(a: GradedAlgebra) -> DivisionVerdict:
-    """Decide whether every nonzero homogeneous element is invertible."""
+    """Decide whether every nonzero homogeneous element is invertible.
+
+    The criterion: every homogeneous basis element is invertible and A_e is
+    a real division algebra, the latter decided by the trace form
+    T(x, y) = Tr(L_xy) on A_e, which must be negative definite on the
+    T-orthogonal complement of the unit (exact for dim A_e in {2, 4}, since
+    among the semisimple real algebras of those dimensions only C and H give
+    T the signature (1, d - 1), and a degenerate T means A_e is not
+    semisimple).  A "no" carries a non-invertible witness when one is found;
+    an e-component of dimension other than 1, 2 or 4 is "undecided".
+    """
     for i in range(a.dim):
         b = a.basis_element(i)
         if not is_invertible(b):

@@ -112,6 +112,8 @@ def cache_get(key: str, directory: str | None = None) -> CacheEntry | None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("entry is not a JSON object")
         if data.get("key") != key or "value" not in data:
             raise ValueError("key mismatch")
         return CacheEntry(key, data["value"])

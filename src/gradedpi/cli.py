@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 
@@ -62,12 +63,14 @@ def _validate_loaded(a: GradedAlgebra, ref: str):
 
 def load_triple_ref(text: str) -> TripleSpec:
     """A matrix(...) reference as its triple; other algebras as (supp, A, (e))."""
-    body = text
+    body, base_dir = text, "."
     if text.startswith("file:"):
-        with open(text[len("file:"):], "r", encoding="utf-8") as fh:
+        path = text[len("file:"):]
+        with open(path, "r", encoding="utf-8") as fh:
             body = fh.read()
+        base_dir = os.path.dirname(path) or "."
     if body.lstrip().startswith("matrix"):
-        return parse_triple(body)
+        return parse_triple(body, base_dir=base_dir)
     a = load_ref(text)
     return TripleSpec(a.support_subgroup(), a, (a.group.identity,))
 

@@ -244,12 +244,16 @@ class CycloScalar:
 
     def _express_at(self, d: int) -> "CycloScalar | None":
         # Solve for coordinates over the promoted basis of Q(zeta_d).
+        # The solution is unique exactly when the pivots are 0 .. phi(d) - 1.
         m, phi_d = self.conductor, totient(d)
         basis = [CycloScalar.root_of_unity(d, k).promote(m).num for k in range(phi_d)]
-        mat = [[Fraction(basis[i][j]) for i in range(phi_d)] + [Fraction(c, self.den)]
-               for j, c in enumerate(self.num)]
-        sol = _solve_exact(mat, phi_d)
-        return CycloScalar(d, sol) if sol is not None else None
+        red = RowReducer(phi_d + 1)
+        for j, c in enumerate(self.num):
+            red.add([col[j] for col in basis] + [c])
+        if sorted(red.pivots) != list(range(phi_d)):
+            return None
+        return CycloScalar(d, [Fraction(red.pivots[i][phi_d], red.pivots[i][i] * self.den)
+                               for i in range(phi_d)])
 
     # -- arithmetic ----------------------------------------------------
 
@@ -590,34 +594,6 @@ def _poly_sub(a, b):
     for j, y in enumerate(b):
         a[j] -= y
     return a
-
-
-def _solve_exact(aug_rows: list[list[Fraction]], nvars: int):
-    """Solve an overdetermined exact linear system; unique solution or None."""
-    rows = [list(r) for r in aug_rows]
-    pivots: dict[int, list[Fraction]] = {}
-    for row in rows:
-        for c, prow in sorted(pivots.items()):
-            if row[c]:
-                f = row[c]
-                for j in range(len(row)):
-                    row[j] -= f * prow[j]
-        lead = next((j for j in range(nvars) if row[j]), None)
-        if lead is None:
-            if row[nvars]:
-                return None  # inconsistent
-            continue
-        f = row[lead]
-        row = [v / f for v in row]
-        for c, prow in pivots.items():
-            if prow[lead]:
-                g = prow[lead]
-                for j in range(len(prow)):
-                    prow[j] -= g * row[j]
-        pivots[lead] = row
-    if len(pivots) < nvars:
-        return None  # underdetermined
-    return [pivots[j][nvars] for j in range(nvars)]
 
 
 def _integer_row(row) -> list[int]:

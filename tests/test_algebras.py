@@ -410,6 +410,103 @@ def test_division_check_rejects_matrix_units():
     assert verdict.witness is not None and not is_invertible(verdict.witness)
 
 
+# Trivially graded algebras whose e-component is the whole algebra, with the
+# verdict known from the algebra's parameters: (a, b) is a division algebra
+# exactly when a < 0 and b < 0, and R[x]/(x^2 - a) exactly when a < 0.
+
+ROOT2 = CycloScalar(8, [0, 1, 0, -1])  # zeta_8 + zeta_8^-1
+QUATERNION_PARAMS = (
+    [pytest.param(a, b, 4, id=f"{a},{b}")
+     for a in (-3, -2, -1, 1, 2) for b in (-3, -2, -1, 1, 2)]
+    + [pytest.param(sa * ROOT2, sb * ROOT2, 8, id=f"{sa}*sqrt2,{sb}*sqrt2")
+       for sa in (1, -1) for sb in (1, -1)])
+
+
+def trivially_graded(conductor, table, unit):
+    g = make_group((2,))
+    dim = 1 + max(max(ij) for ij in table)
+    return GradedAlgebra(g, conductor, [f"b{t}" for t in range(dim)],
+                         (g.identity,) * dim, table, unit)
+
+
+def quaternion_algebra(a, b, conductor, order):
+    """(a, b) with i^2 = a, j^2 = b, ij = -ji = k; basis 1, i, j, k moved to
+    positions order[0..3]."""
+    rel = {(1, 1): (0, a), (2, 2): (0, b), (3, 3): (0, -(a * b)),
+           (1, 2): (3, 1), (2, 1): (3, -1), (1, 3): (2, a), (3, 1): (2, -a),
+           (2, 3): (1, -b), (3, 2): (1, b)}
+    for s in range(4):
+        rel[(0, s)] = rel[(s, 0)] = (s, 1)
+    table = {(order[i], order[j]): ((order[k], c),) for (i, j), (k, c) in rel.items()}
+    return trivially_graded(conductor, table, {order[0]: 1})
+
+
+def rebased(mul, one, basis):
+    """The rational algebra with product `mul` and unit `one` on coordinate
+    vectors, in the basis given by the rows of `basis`."""
+    n = len(basis)
+    # inverse of the basis matrix by Gauss-Jordan elimination over Q
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(basis)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                aug[r] = [v - aug[r][c] * w for v, w in zip(aug[r], aug[c])]
+    inv = [row[n:] for row in aug]
+
+    def in_basis(v):  # coordinates of v over the rows of `basis`
+        return [sum(v[k] * inv[k][t] for k in range(n)) for t in range(n)]
+
+    table = {(i, j): tuple((t, c) for t, c in enumerate(in_basis(mul(basis[i], basis[j])))
+                           if c)
+             for i in range(n) for j in range(n)}
+    unit = {t: c for t, c in enumerate(in_basis(one)) if c}
+    return trivially_graded(4, table, unit)
+
+
+def quadratic_product(a):
+    # (p + q x)(r + s x) in R[x]/(x^2 - a)
+    return lambda u, v: [u[0] * v[0] + a * u[1] * v[1], u[0] * v[1] + u[1] * v[0]]
+
+
+def assert_division_verdict(alg, expected):
+    assert validate(alg).ok
+    got = check_graded_division(alg)
+    assert got.verdict == ("yes" if expected else "no"), got
+    if got.witness is not None:
+        assert not is_invertible(got.witness)
+
+
+@pytest.mark.parametrize("a,b,conductor", QUATERNION_PARAMS)
+def test_quaternion_division_verdicts_in_every_basis_order(a, b, conductor):
+    negative = numeric_scalar(CycloScalar.coerce(a)).real < 0 and \
+        numeric_scalar(CycloScalar.coerce(b)).real < 0
+    for order in itertools.permutations(range(4)):
+        assert_division_verdict(quaternion_algebra(a, b, conductor, order), negative)
+
+
+@pytest.mark.parametrize("a", [-3, -2, -1, 0, 1, 2])
+def test_quadratic_division_verdicts_in_several_bases(a):
+    # a unit basis vector in either place, a basis vector 1 + x whose trace
+    # is not zero, and a basis in which the unit is a sum (x^2 = 0 at a = 0)
+    for basis in ([[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [1, 1]],
+                  [[1, 1], [1, -1]]):
+        assert_division_verdict(rebased(quadratic_product(a), [1, 0], basis), a < 0)
+
+
+def test_split_r4_in_a_skew_basis_is_not_division():
+    mul = lambda u, v: [p * q for p, q in zip(u, v)]
+    alg = rebased(mul, [1, 1, 1, 1],
+                  [[2, 1, 1, 1], [1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1]])
+    assert validate(alg).ok
+    got = check_graded_division(alg)
+    assert got.verdict == "no"
+    assert got.witness is not None and not is_invertible(got.witness)
+
+
 # -- combinators --------------------------------------------------------------
 
 

@@ -115,11 +115,13 @@ def test_corrupt_entries_are_logged_misses(tmp_path, capsys):
     d = str(tmp_path)
     key = "a" * 64
     os.makedirs(d, exist_ok=True)
-    with open(os.path.join(d, key + ".json"), "w") as fh:
-        fh.write("{nope")
-    assert cache_get(key, directory=d) is None
-    err = capsys.readouterr().err
-    assert "corrupt cache entry" in err
+    # unparsable JSON, then JSON values that are not an object
+    for text in ("{nope", "[1, 2]", "3", '"x"', "null"):
+        with open(os.path.join(d, key + ".json"), "w") as fh:
+            fh.write(text)
+        assert cache_get(key, directory=d) is None, text
+        err = capsys.readouterr().err
+        assert "corrupt cache entry" in err, text
 
 
 def test_key_mismatch_inside_entry_is_corruption(tmp_path, capsys):

@@ -154,6 +154,18 @@ def test_file_reference_round_trip(tmp_path, capsys, cache_args):
     assert code == 0
 
 
+def test_file_triple_reads_nested_files_beside_it(tmp_path, monkeypatch, capsys,
+                                                  cache_args):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "d.galg").write_text(serialize_algebra(catalog("H2")))
+    (sub / "t.galg").write_text('matrix(D=file("d.galg"), H=[(1)], tuple=[(0)])\n')
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(cache_args + ["normalize", "file:sub/t.galg"], capsys)
+    assert code == 0, err
+    assert "changed: True" in out
+
+
 def test_invalid_file_table_exits_3(tmp_path, capsys, cache_args):
     p = tmp_path / "bad.galg"
     p.write_text("group Z1\nconductor 1\nbasis u x y\ndeg u = e\ndeg x = e\n"

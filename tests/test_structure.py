@@ -662,7 +662,7 @@ NOT_DIVISION = {
         "no", "basis element 1E11 is not invertible", "{0:(4,[1, 0],1)}"),
     "M2_4 trivial": (
         lambda: _trivially_graded(catalog("M2_4")),
-        "no", "indefinite quaternary norm form",
+        "no", "indefinite or degenerate quaternary norm form",
         "{0:(4,[-1, 0],1),1:(4,[-1, 0],1),2:(4,[-1, 0],1),3:(4,[-1, 0],1)}"),
     "R[Z2] trivial": (
         lambda: _trivially_graded(twisted_group_algebra(
