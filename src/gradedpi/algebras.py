@@ -28,15 +28,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PreconditionError
 from .groups import FinAbGroup, GroupElement, GroupHom, Subgroup
 from .scalars import CycloScalar, RowReducer, totient
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 class GradedAlgebra:
@@ -197,7 +193,7 @@ class IntegerProducts:
         scale = 1
         for entries in a.table.values():
             for _, s in entries:
-                scale = _lcm(scale, s.den)
+                scale = lcm(scale, s.den)
         zetas = [CycloScalar.root_of_unity(m, t, m) for t in range(totient(m))]
         phi = len(zetas)
         shared: dict = {}
@@ -419,7 +415,7 @@ def _field_rank(rows: list[list[CycloScalar]]) -> int:
         for row in rows:
             den = 1
             for c in row:
-                den = _lcm(den, c.den)
+                den = lcm(den, c.den)
             red.add([c.num[0] * (den // c.den) for c in row])
         return red.rank
     rows = [list(r) for r in rows]
@@ -472,7 +468,7 @@ def is_invertible(x: AlgebraElement) -> bool:
 
 @dataclass
 class DivisionVerdict:
-    verdict: str  # "yes" | "no" | "undecided"
+    verdict: str  # "yes" | "no"
     witness: AlgebraElement | None = None
     reason: str = ""
 
@@ -501,7 +497,8 @@ def _e_component_division(a: GradedAlgebra) -> DivisionVerdict:
     exactly when every leading principal minor of the negated form is
     positive.  A "no" carries a non-invertible element of A_e found among the
     small integer combinations of its basis, or None when there is none.
-    Dimension 1 is R; any other dimension is reported as undecided.
+    Dimension 1 is R; by Frobenius's theorem no other dimension is that of a
+    real division algebra, and those get "no" without a witness.
     """
     e_idx = list(a.component(a.group.identity))
     d = len(e_idx)
@@ -509,7 +506,7 @@ def _e_component_division(a: GradedAlgebra) -> DivisionVerdict:
         return DivisionVerdict("yes", reason="e-component is spanned by the unit")
     if d not in (2, 4):
         return DivisionVerdict(
-            "undecided", reason=f"e-component of dimension {d} is outside the decided cases")
+            "no", reason=f"e-component of dimension {d} is not 1, 2 or 4 (Frobenius)")
     # with b_i = basis[e_idx[i]], mats[i][k][j] is the coefficient of b_k in b_i b_j
     mats = [left_multiplication_matrix(a.basis_element(t), e_idx) for t in e_idx]
     tr = [sum(m[k][k] for k in range(d)) for m in mats]
@@ -559,8 +556,9 @@ def check_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     T-orthogonal complement of the unit (exact for dim A_e in {2, 4}, since
     among the semisimple real algebras of those dimensions only C and H give
     T the signature (1, d - 1), and a degenerate T means A_e is not
-    semisimple).  A "no" carries a non-invertible witness when one is found;
-    an e-component of dimension other than 1, 2 or 4 is "undecided".
+    semisimple).  An e-component of dimension other than 1, 2 or 4 is never
+    a division algebra (Frobenius).  A "no" carries a non-invertible witness
+    when one is found.
     """
     for i in range(a.dim):
         b = a.basis_element(i)
@@ -702,7 +700,7 @@ def _catalog_pauli(n: int, k: int):
     if n < 1 or gcd(k, n) != 1:
         raise PreconditionError("pauli requires order n >= 1 and exponent coprime to n")
     g = FinAbGroup((n, n))
-    cond = _lcm(4, n)
+    cond = lcm(4, n)
     labels, degrees = [], []
     for a in range(n):
         for b in range(n):
@@ -803,7 +801,7 @@ def tensor_product(left: GradedAlgebra, right: GradedAlgebra, group: FinAbGroup,
     s_right = Subgroup.generated_by(group, [embed_right(g) for g in right.support()])
     if s_left.intersection(s_right).order != 1:
         raise PreconditionError("support images must intersect trivially")
-    cond = _lcm(left.conductor, right.conductor)
+    cond = lcm(left.conductor, right.conductor)
     labels, degrees = [], []
     for i in range(left.dim):
         for j in range(right.dim):

@@ -27,7 +27,8 @@ from .errors import (GradedPIError, InvariantViolation, PolynomialSyntaxError,
 from .identities import (identity_space, is_identity, parse_polynomial,
                          same_identities_up_to)
 from .specfile import (format_element, format_scalar, load_algebra_file,
-                       parse_algebra, parse_triple, serialize_algebra)
+                       parse_algebra, parse_degree_tuple, parse_triple,
+                       serialize_algebra)
 from .structure import (BicharTable, ClassificationReport, classify,
                         equiv_matrix_over_division, normalize_triple)
 
@@ -73,17 +74,6 @@ def load_triple_ref(text: str) -> TripleSpec:
         return parse_triple(body, base_dir=base_dir)
     a = load_ref(text)
     return TripleSpec(a.support_subgroup(), a, (a.group.identity,))
-
-
-def parse_degree_tuple(text: str, group):
-    from .specfile import _Parser, _tokenize
-    p = _Parser(_tokenize(text))
-    out = [p.parse_element(group)]
-    while p.at_punct(","):
-        p.next()
-        out.append(p.parse_element(group))
-    p.expect_eof()
-    return tuple(out)
 
 
 # -- document building ---------------------------------------------------------

@@ -8,10 +8,10 @@ rational kernel.  That kernel is the annihilator of the system's row space
 (the image of the evaluation map), so comparing canonical rational images
 decides equality of the real identity spaces.
 
-For non-multilinear polynomials, `is_identity` substitutes generic elements
-(indeterminate real coefficients on each component basis) and checks that the
-expansion vanishes coefficientwise; over an infinite field this is equivalent
-to vanishing under all substitutions.
+`is_identity` substitutes generic elements (indeterminate real coefficients
+on each component basis) and checks that the expansion vanishes
+coefficientwise; over an infinite field this is equivalent to vanishing under
+all substitutions.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (InadmissibleSubstitution, InvariantViolation,
                      PolynomialSyntaxError, PreconditionError)
 from .groups import FinAbGroup, GroupElement, GroupHom
 from .scalars import CycloScalar, RowReducer
+from .specfile import _Parser, _tokenize
 
 
 @dataclass(frozen=True)
@@ -274,16 +275,6 @@ def is_identity(f: GradedPolynomial, a: GradedAlgebra) -> bool:
     """Does f vanish under every admissible substitution in a?"""
     if f.group != a.group:
         raise PreconditionError("polynomial and algebra use different grading groups")
-    if not f.terms:
-        return True
-    if f.is_multilinear():
-        variables = f.variables()
-        comps = [a.component_basis(v.degree) for v in variables]
-        for choice in itertools.product(*comps):
-            val = evaluate(f, dict(zip(variables, choice)), a)
-            if not val.is_zero():
-                return False
-        return True
     return not _generic_coefficients(f, a)
 
 
@@ -543,177 +534,110 @@ def same_identities_up_to(a: GradedAlgebra, b: GradedAlgebra, max_degree: int = 
 # -- text grammar -----------------------------------------------------------
 
 
-class _PolyParser:
-    """Recursive descent for the polynomial grammar.
+class _PolyParser(_Parser):
+    """Recursive descent for the polynomial grammar, on spec-file tokens.
 
     poly   := term (('+' | '-') term)*
-    term   := ['-'] factor ('*' factor)*
-    factor := atom ('^' INT)?
-    atom   := RATIONAL | VAR '[' element ',' INT ']' | '[' poly ',' poly ']'
-            | '(' poly ')'
-    element:= 'e' | INT | '(' INT (',' INT)* ')'
+    term   := '-'* factor ('*' factor)*
+    factor := atom ('^' int)?
+    atom   := INT ('/' int)? | VAR '[' element ',' int ']'
+            | '[' poly ',' poly ']' | '(' poly ')'
+
+    `element` and `int` (an INT with an optional '-') are the spec-file rules.
     """
 
     def __init__(self, text: str, group: FinAbGroup):
-        self.text = text
+        super().__init__(_tokenize(text))
         self.group = group
-        self.pos = 0
 
-    def error(self, message: str):
-        raise PolynomialSyntaxError(message, pos=self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def parse(self) -> GradedPolynomial:
-        p = self.parse_poly()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input after polynomial")
-        return p
+    def raise_at(self, message: str, tok):
+        raise PolynomialSyntaxError(message, pos=tok.pos)
 
     def parse_poly(self) -> GradedPolynomial:
         total = self.parse_term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.pos += 1
+        while self.at_punct("+") or self.at_punct("-"):
+            if self.next().value == "+":
                 total = total + self.parse_term()
-            elif c == "-":
-                self.pos += 1
-                total = total - self.parse_term()
             else:
-                return total
+                total = total - self.parse_term()
+        return total
 
     def parse_term(self) -> GradedPolynomial:
-        negate = False
-        while self.peek() == "-":
-            self.pos += 1
-            negate = not negate
+        scalar, poly = Fraction(1), None
+        while self.at_punct("-"):
+            self.next()
+            scalar = -scalar
         factors = [self.parse_factor()]
-        while self.peek() == "*":
-            self.pos += 1
+        while self.at_punct("*"):
+            self.next()
             factors.append(self.parse_factor())
-        scalar = Fraction(1)
-        poly = None
         for f in factors:
             if isinstance(f, Fraction):
                 scalar *= f
-            elif poly is None:
-                poly = f
             else:
-                poly = poly * f
+                poly = f if poly is None else poly * f
         if poly is None:
             if scalar == 0:
                 return GradedPolynomial.zero(self.group)
             self.error("a term needs at least one variable (no constant terms)")
-        if negate:
-            scalar = -scalar
         return poly.scale(scalar)
 
     def parse_factor(self):
         atom = self.parse_atom()
-        if self.peek() == "^":
-            self.pos += 1
+        if self.at_punct("^"):
+            self.next()
+            t = self.peek()
             k = self.parse_int()
             if k < 1:
-                self.error("exponent must be a positive integer")
+                self.error("exponent must be a positive integer", t)
             return atom ** k
         return atom
 
     def parse_atom(self):
-        c = self.peek()
-        if c == "(":
-            self.pos += 1
+        if self.at_punct("("):
+            self.next()
             p = self.parse_poly()
-            self.expect(")")
+            self.expect_punct(")")
             return p
-        if c == "[":
-            self.pos += 1
+        if self.at_punct("["):
+            self.next()
             left = self.parse_poly()
-            self.expect(",")
+            self.expect_punct(",")
             right = self.parse_poly()
-            self.expect("]")
+            self.expect_punct("]")
             return left.commutator(right)
-        if c.isdigit():
-            return self.parse_rational()
-        if c.isalpha():
+        t = self.peek()
+        if t.kind == "int":
+            num = self.parse_int()
+            if not self.at_punct("/"):
+                return Fraction(num)
+            self.next()
+            d = self.peek()
+            den = self.parse_int()
+            if den == 0:
+                self.error("zero denominator", d)
+            return Fraction(num, den)
+        if t.kind == "ident":
             return self.parse_varref()
         self.error("expected a scalar, a variable, a commutator, or parentheses")
 
-    def parse_int(self) -> int:
-        self.skip_ws()
-        sign = 1
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            sign = -1
-            self.pos += 1
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return sign * int(self.text[start:self.pos])
-
-    def parse_rational(self) -> Fraction:
-        num = self.parse_int()
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.parse_int()
-            if den == 0:
-                self.error("zero denominator")
-            return Fraction(num, den)
-        return Fraction(num)
-
     def parse_varref(self) -> GradedPolynomial:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                             or self.text[self.pos] == "_"):
-            self.pos += 1
-        name = self.text[start:self.pos]
-        if name == "e":
-            self.error("'e' denotes the trivial degree, not a variable")
-        self.expect("[")
-        g = self.parse_element()
-        self.expect(",")
+        name = self.next()
+        if name.value == "e":
+            self.error("'e' denotes the trivial degree, not a variable", name)
+        self.expect_punct("[")
+        g = self.parse_element(self.group)
+        self.expect_punct(",")
+        t = self.peek()
         idx = self.parse_int()
         if idx < 1:
-            self.error("variable index must be a positive integer")
-        self.expect("]")
+            self.error("variable index must be a positive integer", t)
+        self.expect_punct("]")
         return GradedPolynomial.variable(self.group, g, idx)
-
-    def parse_element(self) -> GroupElement:
-        c = self.peek()
-        if c == "e" and not (self.pos + 1 < len(self.text)
-                             and self.text[self.pos + 1].isalnum()):
-            self.pos += 1
-            return self.group.identity
-        if c == "(":
-            self.pos += 1
-            exps = [self.parse_int()]
-            while self.peek() == ",":
-                self.pos += 1
-                exps.append(self.parse_int())
-            self.expect(")")
-            if len(exps) != self.group.rank:
-                self.error(f"element needs {self.group.rank} coordinates")
-            return self.group.element(tuple(exps))
-        if c.isdigit() or c == "-":
-            if self.group.rank != 1:
-                self.error("bare integers denote elements only for rank-1 groups")
-            return self.group.element((self.parse_int(),))
-        self.error("expected a group element ('e', an integer, or a tuple)")
 
 
 def parse_polynomial(text: str, group: FinAbGroup) -> GradedPolynomial:
-    return _PolyParser(text, group).parse()
+    p = _PolyParser(text, group)
+    out = p.parse_poly()
+    p.expect_eof()
+    return out

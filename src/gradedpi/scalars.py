@@ -19,16 +19,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import PreconditionError
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +148,7 @@ class CycloScalar:
                 raise TypeError(
                     f"coordinate {c!r} is a {type(c).__name__}, not an int or a Fraction")
             if c.denominator != 1:
-                den = _lcm(den, c.denominator)
+                den = lcm(den, c.denominator)
         num = [c.numerator * (den // c.denominator) for c in coeffs]
         num += [0] * (phi - len(num))
         g = gcd(den, *num)
@@ -183,7 +178,7 @@ class CycloScalar:
             raise PreconditionError("root order must be positive")
         m = conductor if conductor is not None else order
         if m % order != 0:
-            m = _lcm(m, order)
+            m = lcm(m, order)
         k = (power % order) * (m // order)
         num = [0] * totient(m)
         for j, v in _power_rows(m)[k]:
@@ -212,7 +207,7 @@ class CycloScalar:
     def _pair(a: "CycloScalar", b: "CycloScalar"):
         if a.conductor == b.conductor:
             return a, b
-        m = _lcm(a.conductor, b.conductor)
+        m = lcm(a.conductor, b.conductor)
         return a.promote(m), b.promote(m)
 
     @staticmethod
@@ -331,19 +326,21 @@ class CycloScalar:
             n = self.num[0]  # den / n, with the sign moved to the numerator
             num = (self.den if n > 0 else -self.den,) + self.num[1:]
             return _new(m, num, abs(n))
-        # extended Euclid in Q[x] against Phi_m, on num; den multiplies back
-        phi_m = [Fraction(c) for c in cyclotomic_polynomial(m)]
-        r0, r1 = phi_m, [Fraction(c) for c in self.num]
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = self.den / r1[0]
-                return CycloScalar(m, [c * inv for c in s1])
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        # solve num * y = den: column j of the system is num * zeta^j, and
+        # row i carries coordinate i of every column, then of den
+        phi = len(self.num)
+        rows = _power_rows(m)
+        system = [[0] * (phi + 1) for _ in range(phi)]
+        for k, c in enumerate(self.num):
+            if c:
+                for j in range(phi):
+                    for i, v in rows[k + j]:
+                        system[i][j] += c * v
+        system[0][phi] = self.den
+        rr = RowReducer(phi + 1)
+        for row in system:
+            rr.add(row)
+        return CycloScalar(m, [row[phi] for row in rr.sorted_rows()])
 
     def __truediv__(self, other):
         try:
@@ -439,7 +436,7 @@ class CycloScalar:
         return (self + self.conjugate()) * Fraction(1, 2)
 
     def imag_part(self) -> "CycloScalar":
-        m = _lcm(self.conductor, 4)
+        m = lcm(self.conductor, 4)
         i = CycloScalar.root_of_unity(4, 1, m)
         z = self.promote(m)
         return (z - z.conjugate()) / (2 * i)
@@ -560,49 +557,13 @@ def _sqrt_prime(p: int, conductor: int) -> CycloScalar | None:
     return total
 
 
-# -- small polynomial helpers over Fraction lists -----------------------
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    q = [_ZERO] * max(1, len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c:
-            f = c / den[-1]
-            q[i] = f
-            for j, dv in enumerate(den):
-                num[i + j] -= f * dv
-    rem = num[:len(den) - 1]
-    return q, rem
-
-
-def _poly_mul(a, b):
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    for j, y in enumerate(b):
-        a[j] -= y
-    return a
-
-
 def _integer_row(row) -> list[int]:
     # A row of ints or Fractions, scaled by the lcm of its denominators.
     den = 1
     for v in row:
         d = v.denominator
         if d != 1:
-            den = _lcm(den, d)
+            den = lcm(den, d)
     if den == 1:
         return [v.numerator for v in row]
     return [v.numerator * (den // v.denominator) for v in row]
@@ -686,7 +647,7 @@ class RowReducer:
             den = 1
             for c, prow in self.pivots.items():
                 if prow[f]:
-                    den = _lcm(den, prow[c])
+                    den = lcm(den, prow[c])
             v = [0] * self.width
             v[f] = den
             for c, prow in self.pivots.items():

@@ -13,7 +13,8 @@ line order are free, missing ``mul`` lines mean zero products):
 
 Scalars are rationals ``p/q``, roots of unity ``zeta(M,k)``, and their
 parenthesized sums and products.  Group elements are exponent tuples
-``(1,0)`` (``e`` is the identity; a bare integer works for rank one).
+``(1,0)`` (``e`` is the identity; a bare integer works for rank one), and
+each exponent may carry a ``-``.
 
 Combinator expressions name the constructions instead:
 
@@ -27,6 +28,10 @@ Combinator expressions name the constructions instead:
 Homomorphisms are given by the images of the domain's canonical generators,
 in order.  ``H`` lists generators of the subgroup; ``matrix`` builds the
 elementary grading on M_n(D) from the triple (H, D, tuple).
+
+The tokenizer, group elements and integers here also serve degree tuples
+(`parse_degree_tuple`, ``(1,0),(0,1)``) and graded polynomials
+(`gradedpi.identities.parse_polynomial`, ``2*x[1,1]^2 - [x[e,1],y[-1,2]]``).
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .algebras import (GradedAlgebra, TripleSpec, catalog,
                        matrix_over_division, quotient_grading, regrade,
@@ -45,47 +50,50 @@ from .scalars import CycloScalar
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"""
-    (?P<ws>[ \t]+)
+    (?P<ws>[^\S\n]+)
   | (?P<comment>\#[^\n]*)
   | (?P<nl>\n)
   | (?P<string>"[^"\n]*")
   | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[()\[\],=*+\-/])
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<punct>[()\[\],=*+\-/^])
 """, re.VERBOSE)
 
 _LINE_KEYWORDS = ("group", "conductor", "basis", "deg", "mul", "unit")
 
 
 class _Tok:
-    __slots__ = ("kind", "value", "line", "col")
+    __slots__ = ("kind", "value", "line", "col", "pos")
 
-    def __init__(self, kind, value, line, col):
+    def __init__(self, kind, value, line, col, pos):
         self.kind = kind
         self.value = value
         self.line = line
         self.col = col
+        self.pos = pos
 
 
 def _tokenize(text: str) -> list[_Tok]:
+    # An unexpected character ends the list as a "bad" token, not "eof".
     toks = []
     line, col, pos = 1, 1, 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            raise SpecFormatError(f"unexpected character {text[pos]!r}", line, col)
+            toks.append(_Tok("bad", text[pos], line, col, pos))
+            return toks
         kind = m.lastgroup
         value = m.group()
         if kind == "nl":
-            toks.append(_Tok("nl", value, line, col))
+            toks.append(_Tok("nl", value, line, col, pos))
             line += 1
             col = 1
         else:
             if kind not in ("ws", "comment"):
-                toks.append(_Tok(kind, value, line, col))
+                toks.append(_Tok(kind, value, line, col, pos))
             col += len(value)
         pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+    toks.append(_Tok("eof", "", line, col, pos))
     return toks
 
 
@@ -97,6 +105,9 @@ class _Parser:
         self.i = 0
         self.base_dir = base_dir
         self.depth = depth
+        last = self.toks[-1]
+        if last.kind == "bad":
+            self.raise_at(f"unexpected character {last.value!r}", last)
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -109,7 +120,10 @@ class _Parser:
     def error(self, message: str, tok: _Tok | None = None):
         t = tok or self.peek()
         at = f" near {t.value!r}" if t.kind != "eof" else " at end of input"
-        raise SpecFormatError(message + at, t.line, t.col)
+        self.raise_at(message + at, t)
+
+    def raise_at(self, message: str, tok: _Tok):
+        raise SpecFormatError(message, tok.line, tok.col)
 
     def expect_punct(self, ch: str) -> _Tok:
         t = self.peek()
@@ -150,24 +164,29 @@ class _Parser:
         if t.kind == "ident" and t.value == "e":
             self.next()
             return group.identity
-        if t.kind == "int":
+        if t.kind == "int" or self.at_punct("-"):
             if group.rank != 1:
                 self.error(f"bare exponent needs a rank-1 group, "
                            f"got rank {group.rank}", t)
+            return group.element((self.parse_int(),))
+        if self.at_punct("("):
             self.next()
-            return group.element((int(t.value),))
-        if t.kind == "punct" and t.value == "(":
-            self.next()
-            exps = [self._int_signless()]
+            exps = [self.parse_int()]
             while self.at_punct(","):
                 self.next()
-                exps.append(self._int_signless())
+                exps.append(self.parse_int())
             self.expect_punct(")")
             if len(exps) != group.rank:
                 self.error(f"element rank {len(exps)} does not match group "
                            f"rank {group.rank}", t)
             return group.element(tuple(exps))
         self.error("expected a group element")
+
+    def parse_int(self) -> int:  # an INT with an optional leading '-'
+        if self.at_punct("-"):
+            self.next()
+            return -self._int_signless()
+        return self._int_signless()
 
     def _int_signless(self) -> int:
         t = self.peek()
@@ -176,12 +195,16 @@ class _Parser:
         self.next()
         return int(t.value)
 
-    def parse_element_list(self, group: FinAbGroup) -> list[GroupElement]:
-        self.expect_punct("[")
+    def parse_elements(self, group: FinAbGroup) -> list[GroupElement]:
         out = [self.parse_element(group)]
         while self.at_punct(","):
             self.next()
             out.append(self.parse_element(group))
+        return out
+
+    def parse_element_list(self, group: FinAbGroup) -> list[GroupElement]:
+        self.expect_punct("[")
+        out = self.parse_elements(group)
         self.expect_punct("]")
         return out
 
@@ -230,15 +253,11 @@ class _Parser:
             self.expect_punct("(")
             order = self._int_signless()
             self.expect_punct(",")
-            neg = False
-            if self.at_punct("-"):
-                self.next()
-                neg = True
-            power = self._int_signless()
+            power = self.parse_int()
             self.expect_punct(")")
             if order < 1:
                 self.error("zeta order must be positive", t)
-            return CycloScalar.root_of_unity(order, -power if neg else power)
+            return CycloScalar.root_of_unity(order, power)
         if t.kind == "punct" and t.value == "(":
             self.next()
             value = self.parse_scalar()
@@ -399,7 +418,7 @@ class _Parser:
 # -- the line-oriented base format --------------------------------------------
 
 
-def _parse_base_format(text: str) -> GradedAlgebra:
+def _parse_base_format(toks: list[_Tok]) -> GradedAlgebra:
     group = None
     conductor = None
     labels: list[str] = []
@@ -408,19 +427,20 @@ def _parse_base_format(text: str) -> GradedAlgebra:
     muls: dict[tuple[str, str], list] = {}
     unit = None
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        toks = _tokenize(raw)
-        toks = [t for t in toks if t.kind != "nl"]
-        for t in toks:
-            t.line = lineno
-        if toks[0].kind == "eof":
+    start = 0
+    for i, end in enumerate(toks):
+        if end.kind not in ("nl", "eof"):
             continue
-        head = toks[0]
+        line = toks[start:i]
+        start = i + 1
+        if not line:
+            continue
+        head = line[0]
         if head.kind != "ident" or head.value not in _LINE_KEYWORDS:
             raise SpecFormatError(
                 f"expected one of {', '.join(_LINE_KEYWORDS)} near "
-                f"{head.value!r}", lineno, head.col)
-        p = _Parser(toks)
+                f"{head.value!r}", head.line, head.col)
+        p = _Parser(line + [_Tok("eof", "", end.line, end.col, end.pos)])
         p.next()  # the keyword
         if head.value == "group":
             if group is not None:
@@ -479,10 +499,8 @@ def _parse_base_format(text: str) -> GradedAlgebra:
 
     index = {lab: i for i, lab in enumerate(labels)}
     if conductor is None:
-        conductor = 1
-        for combo in list(muls.values()) + [unit]:
-            for c, _ in combo:
-                conductor = conductor * c.conductor // gcd(conductor, c.conductor)
+        conductor = lcm(*(c.conductor for combo in [*muls.values(), unit]
+                          for c, _ in combo))
     table = {}
     for (li, lj), combo in muls.items():
         acc: dict[int, CycloScalar] = {}
@@ -528,12 +546,12 @@ def _parse_combination(p: _Parser, label_line) -> list:
 def parse_algebra(text: str, base_dir: str = ".", _depth: int = 0) -> GradedAlgebra:
     """Parse either the base format or a combinator expression."""
     toks = _tokenize(text)
-    sig = [t for t in toks if t.kind not in ("nl", "eof")]
-    if not sig:
-        raise SpecFormatError("empty algebra description", 1, 1)
-    if sig[0].kind == "ident" and sig[0].value in _LINE_KEYWORDS:
-        return _parse_base_format(text)
     p = _Parser(toks, base_dir=base_dir, depth=_depth)
+    head = p.peek()
+    if head.kind == "eof":
+        raise SpecFormatError("empty algebra description", 1, 1)
+    if head.kind == "ident" and head.value in _LINE_KEYWORDS:
+        return _parse_base_format(toks)
     out = p.parse_expr()
     p.expect_eof()
     return out
@@ -545,6 +563,14 @@ def parse_triple(text: str, base_dir: str = ".") -> TripleSpec:
     out = p.parse_triple()
     p.expect_eof()
     return out
+
+
+def parse_degree_tuple(text: str, group: FinAbGroup) -> tuple[GroupElement, ...]:
+    """Parse comma-separated group elements, such as ``(1,0),(0,1)``."""
+    p = _Parser(_tokenize(text))
+    out = p.parse_elements(group)
+    p.expect_eof()
+    return tuple(out)
 
 
 def load_algebra_file(path: str) -> GradedAlgebra:

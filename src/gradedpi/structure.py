@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .algebras import (AlgebraElement, GradedAlgebra, TripleSpec,
                        check_graded_division, quotient_grading, regrade,
@@ -31,10 +31,6 @@ from .groups import (CosetDecomposition, GroupElement, GroupHom, Subgroup,
                      is_elementary_2group, quotient_hom, squares_subgroup,
                      subgroup_as_group)
 from .scalars import CycloScalar
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 # -- commutation factors ---------------------------------------------------
@@ -86,7 +82,7 @@ def _pair_factor(pairs, j: AlgebraElement | None = None):
             return None
     if lam is None or j is None:
         return lam
-    m = _lcm(j.parent.conductor, 4)
+    m = lcm(j.parent.conductor, 4)
     return l1.promote(m) + l2.promote(m) * CycloScalar.root_of_unity(4, 1, m)
 
 
@@ -353,9 +349,7 @@ def _axiom_violations(dom, values) -> tuple[str, ...]:
     have equal coordinates, and numbered by those coordinates.  Each product
     of two numbered values is computed once; the loops compare numbers.
     """
-    m = 1
-    for v in values.values():
-        m = _lcm(m, v.conductor)
+    m = lcm(*(v.conductor for v in values.values()))
     number: dict = {}
     interned: list[CycloScalar] = []
 
@@ -504,7 +498,7 @@ def _require_division(a: GradedAlgebra):
     if verdict.verdict == "yes":
         return
     raise PreconditionError(
-        f"not (verifiably) a graded division algebra: {verdict.reason}")
+        f"not a graded division algebra: {verdict.reason}")
 
 
 def _table_or_violation(build, *args) -> BicharTable:

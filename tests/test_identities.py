@@ -134,16 +134,74 @@ def test_parse_powers():
     assert f.terms[(v, v)] == 1
 
 
-def test_parse_errors_carry_position():
+@pytest.mark.parametrize("text,pos", [
+    ("x[e", 3), ("x[(1),1]", 2), ("[x[e,1]", 7), ("x[e,1] +", 8),
+    ("x[(1,0),0]", 8), ("y[(3,0),1]x", 10), ("", 0), ("x[e,1] @ y[e,2]", 7),
+    ("x[e,1]^0", 7), ("x[e,1]^-1", 7), ("x[e,-1]", 4), ("e[e,1]", 0),
+    ("1/0*x[e,1]", 2), ("x[1,1]", 2), ("x[f,1]", 2), ("x[e,1.0]", 5), ("2", 1),
+    ("(x[e,1]", 7), ("x[e,1]]", 6), ("x[e,1]\n@", 7),
+])
+def test_parse_errors_carry_position(text, pos):
     g = make_group((2, 2))
-    for text in ["x[e", "x[(1),1]", "[x[e,1]", "x[e,1] +", "x[(1,0),0]",
-                 "y[(3,0),1]x", ""]:
-        with pytest.raises(PolynomialSyntaxError):
-            parse_polynomial(text, g)
-    try:
-        parse_polynomial("x[e,1] @ y[e,2]", g)
-    except PolynomialSyntaxError as err:
-        assert "position" in str(err) or "pos" in str(err)
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_polynomial(text, g)
+    assert info.value.pos == pos
+    assert f"position {pos}" in str(info.value)
+
+
+GROUPS = [make_group((5,)), make_group((2, 3))]
+SPACING = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _variable_texts(draw, group):
+    exps = tuple(draw(st.integers(-6, 6)) for _ in group.orders)
+    forms = ["e", "tuple"] + (["bare"] if group.rank == 1 else [])
+    form = draw(st.sampled_from(forms))
+    if form == "e":
+        degree, text = group.identity, "e"
+    else:
+        degree = group.element(exps)
+        text = str(exps[0]) if form == "bare" else \
+            "(" + ",".join(map(str, exps)) + ")"
+    index = draw(st.integers(1, 3))
+    name = draw(st.sampled_from(["x", "y", "v2"]))
+    return f"{name}[{text},{index}]", GradedPolynomial.variable(group, degree, index)
+
+
+def _polynomial_texts(group):
+    """(text, polynomial) pairs: the same tree rendered and built by the API."""
+    def extend(children):
+        @st.composite
+        def node(draw):
+            op = draw(st.sampled_from(["+", "-", "*", "[]", "^", "neg", "scale"]))
+            s = draw(SPACING)
+            lt, lp = draw(children)
+            if op == "^":
+                k = draw(st.integers(1, 2))
+                return f"({lt}){s}^{s}{k}", lp ** k
+            if op == "neg":
+                return f"-{s}({lt})", -lp
+            if op == "scale":
+                c = draw(st.fractions(min_value=0, max_value=9, max_denominator=4))
+                ct = str(c.numerator) if c.denominator == 1 else \
+                    f"{c.numerator}{s}/{s}{c.denominator}"
+                return f"{ct}{s}*{s}({lt})", lp.scale(c)
+            rt, rp = draw(children)
+            if op == "[]":
+                return f"[{s}{lt}{s},{s}{rt}{s}]", lp.commutator(rp)
+            text = f"({lt}){s}{op}{s}({rt})"
+            return text, {"+": lp + rp, "-": lp - rp, "*": lp * rp}[op]
+        return node()
+    return st.recursive(_variable_texts(group), extend, max_leaves=5)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_parse_matches_the_polynomial_api(data):
+    group = data.draw(st.sampled_from(GROUPS))
+    text, poly = data.draw(_polynomial_texts(group))
+    assert parse_polynomial(text, group) == poly
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -669,6 +669,12 @@ NOT_DIVISION = {
             make_group((2,)), lambda g, h: CycloScalar.one(1))),
         "no", "indefinite or degenerate binary norm form",
         "{0:(4,[-2, 0],1),1:(4,[-2, 0],1)}"),
+    "M2C_Z4 trivial": (
+        lambda: _trivially_graded(catalog("M2C_Z4")),
+        "no", "e-component of dimension 8 is not 1, 2 or 4 (Frobenius)", "None"),
+    "M4_4 trivial": (
+        lambda: _trivially_graded(catalog("M4_4")),
+        "no", "e-component of dimension 16 is not 1, 2 or 4 (Frobenius)", "None"),
 }
 
 
