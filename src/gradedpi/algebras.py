@@ -46,7 +46,7 @@ class GradedAlgebra:
 
     __slots__ = ("group", "conductor", "labels", "degrees", "table", "unit",
                  "provenance", "_components", "_mul_cache", "_integer_products",
-                 "_classification", "_serial_digest")
+                 "_substitutions", "_classification", "_serial_digest")
 
     def __init__(self, group: FinAbGroup, conductor: int, labels, degrees,
                  table, unit, provenance: str | None = None):
@@ -105,9 +105,11 @@ class GradedAlgebra:
             comps.setdefault(g, []).append(idx)
         self._components = {g: tuple(v) for g, v in comps.items()}
         # memo state: identity spaces by degree tuple, the compiled table, the
-        # structure.classify report, and the digest behind cache.space_key
+        # basis elements identity_space substitutes, the structure.classify
+        # report, and the digest behind cache.space_key
         self._mul_cache = {}
         self._integer_products = None
+        self._substitutions = None
         self._classification = None
         self._serial_digest = None
 

@@ -320,7 +320,9 @@ def cmd_selftest(args, json_mode: bool) -> tuple[dict, int]:
         "max_degree": rep["max_degree"],
         "sections": [
             {"name": s.name, "ok": s.ok, "detail": s.detail,
-             "checks": s.checks, "failures": list(s.failures)}
+             "checks": s.checks, "failures": list(s.failures),
+             "pairs": [{"name": n, "seconds": round(t, 3)}
+                       for n, t in s.pairs]}
             for s in rep["sections"]
         ],
     }

@@ -393,8 +393,63 @@ def _word_product(products, words: dict, word: tuple) -> dict:
     return vec
 
 
+def _substitution_basis(a: GradedAlgebra) -> dict:
+    """Per degree, the basis indices that identity_space substitutes.
+
+    Computed once per algebra from the table alone.  Basis element u
+    reaches b when z*u = c*b for a basis element z of trivial degree that
+    commutes with every basis element; each component keeps, in index
+    order, every element not reached from one kept before it.  Centrality
+    is tested only for a z that reaches some b other than u, so a unit
+    alone in A_e costs one table row.
+    """
+    kept = a._substitutions
+    if kept is None:
+        table, degrees, n = a.table, a.degrees, a.dim
+        reach: dict = {}
+        for z in a.component(a.group.identity):
+            edges = []
+            for u in range(n):
+                entries = table.get((z, u), ())
+                if len(entries) == 1:
+                    b = entries[0][0]
+                    if b != u and degrees[b] == degrees[u]:
+                        edges.append((u, b))
+            if edges and all(table.get((z, x)) == table.get((x, z))
+                             for x in range(n)):
+                for u, b in edges:
+                    reach.setdefault(u, set()).add(b)
+        kept, covered = {}, set()
+        for g, comp in a._components.items():
+            keep = []
+            for u in comp:
+                if u in covered:
+                    continue
+                keep.append(u)
+                todo = [u]
+                while todo:
+                    v = todo.pop()
+                    if v not in covered:
+                        covered.add(v)
+                        todo.extend(reach.get(v, ()))
+            kept[g] = tuple(keep)
+        a._substitutions = kept
+    return kept
+
+
 def identity_space(a: GradedAlgebra, degrees) -> IdentitySpace:
-    """All multilinear identities of a at the given degree tuple."""
+    """All multilinear identities of a at the given degree tuple.
+
+    The image is spanned by the evaluation rows of the substitutions of
+    basis elements, but not every basis element need be substituted.  Let
+    z be a basis element of trivial degree that is central (z*x = x*z for
+    every basis x) and let z*u = c*b with c a nonzero scalar.  For
+    multilinear f, f(..., b, ...) = c^-1 z f(..., u, ...), so every row of
+    a substitution with b is a rational combination of the rows of the same
+    substitution with u, and b is never substituted (`_substitution_basis`).
+    On a Pauli or complex grading, where A_e holds a central i, this halves
+    the substitutions per variable; the image is unchanged.
+    """
     degrees = tuple(degrees)
     if not degrees:
         raise PreconditionError("degree tuple must be nonempty")
@@ -404,7 +459,8 @@ def identity_space(a: GradedAlgebra, degrees) -> IdentitySpace:
     hit = a._mul_cache.get(degrees)
     if hit is not None:
         return hit
-    comps = [a.component(g) for g in degrees]
+    kept = _substitution_basis(a)
+    comps = [kept.get(g, ()) for g in degrees]
     if any(not c for c in comps):
         # a variable of an empty component vanishes: every polynomial is an
         # identity and the evaluation map is zero
@@ -544,11 +600,14 @@ class _PolyParser(_Parser):
             | '[' poly ',' poly ']' | '(' poly ')'
 
     `element` and `int` (an INT with an optional '-') are the spec-file rules.
+    A variable is its (degree, index) pair; one text names each pair with
+    one letter.
     """
 
     def __init__(self, text: str, group: FinAbGroup):
         super().__init__(_tokenize(text))
         self.group = group
+        self.letters: dict = {}  # (degree, index) -> the letter first used
 
     def raise_at(self, message: str, tok):
         raise PolynomialSyntaxError(message, pos=tok.pos)
@@ -633,6 +692,10 @@ class _PolyParser(_Parser):
         if idx < 1:
             self.error("variable index must be a positive integer", t)
         self.expect_punct("]")
+        first = self.letters.setdefault((g, idx), name.value)
+        if first != name.value:
+            d = "e" if g.is_identity else repr(g)
+            self.error(f"variable [{d},{idx}] is already named {first!r}", name)
         return GradedPolynomial.variable(self.group, g, idx)
 
 

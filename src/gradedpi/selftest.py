@@ -44,6 +44,8 @@ class SectionResult:
     seconds: float
     checks: int = 0
     failures: list = field(default_factory=list)
+    # (label, seconds) of each pair or triple decided by brute force
+    pairs: list = field(default_factory=list)
 
 
 def _section(fn):
@@ -192,6 +194,7 @@ def section_oracle_agreement(max_degree: int = 4, log=None) -> SectionResult:
     failures = []
     checks = 0
     skipped = []
+    pairs = []
     for family, members in _closure_families():
         division = []
         for label, a in members:
@@ -216,21 +219,23 @@ def section_oracle_agreement(max_degree: int = 4, log=None) -> SectionResult:
                         f"{family}: {la} vs {lb}: structural says "
                         f"{structural.verdict} ({structural.reason}) but brute "
                         f"force says {brute.equal} ({brute.detail})")
+                pairs.append((f"[{family}] {la} vs {lb}", time.time() - t0))
                 if log:
-                    log(f"  [{family}] {la} vs {lb}: "
+                    log(f"  {pairs[-1][0]}: "
                         f"{'equal' if brute.equal else 'differ'} "
-                        f"(agree, {time.time()-t0:.1f}s)")
+                        f"(agree, {pairs[-1][1]:.1f}s)")
     detail = f"{checks} pairs decided twice"
     if skipped:
         detail += f"; filtered non-division: {', '.join(skipped)}"
     return SectionResult("oracle agreement (division pairs)", not failures,
-                         detail, 0.0, checks, failures)
+                         detail, 0.0, checks, failures, pairs)
 
 
 @_section
 def section_normalize_agreement(max_degree: int = 4, log=None) -> SectionResult:
     failures = []
     checks = 0
+    pairs = []
     for name, params in CATALOG_INSTANCES:
         label = _instance_label(name, params)
         d = catalog(name, *params)
@@ -248,12 +253,14 @@ def section_normalize_agreement(max_degree: int = 4, log=None) -> SectionResult:
         if not rep.equal:
             failures.append(f"{label}: normalized triple changes identities: "
                             f"{rep.detail}")
+        pairs.append((f"normalize {label}", time.time() - t0))
         if log:
             log(f"  normalize {label}: dims {before.dim}->{after.dim}, "
                 f"{'equal' if rep.equal else 'DIFFER'} "
-                f"({time.time()-t0:.1f}s)")
+                f"({pairs[-1][1]:.1f}s)")
     return SectionResult("normalize preserves identities", not failures,
-                         f"{checks} catalog triples", 0.0, checks, failures)
+                         f"{checks} catalog triples", 0.0, checks, failures,
+                         pairs)
 
 
 @_section
@@ -293,6 +300,7 @@ def section_matrix_equivalence(max_degree: int = 4, log=None) -> SectionResult:
 
     failures = []
     checks = 0
+    pairs = []
     for label, sa, sb in cases:
         t0 = time.time()
         structural = equiv_matrix_over_division(sa, sb)
@@ -303,12 +311,13 @@ def section_matrix_equivalence(max_degree: int = 4, log=None) -> SectionResult:
             failures.append(f"{label}: structural {structural.verdict} "
                             f"({structural.reason}) vs brute {brute.equal} "
                             f"({brute.detail})")
+        pairs.append((f"matrix {label}", time.time() - t0))
         if log:
-            log(f"  matrix {label}: {'equal' if brute.equal else 'differ'} "
-                f"(agree, {time.time()-t0:.1f}s)")
+            log(f"  {pairs[-1][0]}: {'equal' if brute.equal else 'differ'} "
+                f"(agree, {pairs[-1][1]:.1f}s)")
     return SectionResult("matrix-over-division vs brute force", not failures,
                          f"{checks} triples compared twice", 0.0, checks,
-                         failures)
+                         failures, pairs)
 
 
 def run_selftest(max_degree: int = 4, log=None) -> dict:

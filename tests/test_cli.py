@@ -204,3 +204,22 @@ def test_no_cache_flag_skips_disk(tmp_path, capsys):
     assert code == 0
     import os
     assert not os.path.isdir(d) or not os.listdir(d)
+
+
+def test_selftest_json_carries_per_pair_seconds(capsys, cache_args):
+    code, out, _ = run(cache_args + ["--json", "selftest", "--max-degree", "2"],
+                       capsys)
+    assert code == 0
+    sections = {s["name"]: s for s in json.loads(out)["sections"]}
+    oracle = sections["oracle agreement (division pairs)"]
+    matrix = sections["matrix-over-division vs brute force"]
+    # one entry per pair or triple decided by brute force
+    assert len(oracle["pairs"]) == oracle["checks"] == 58
+    assert len(matrix["pairs"]) == matrix["checks"] == 6
+    assert oracle["pairs"][0]["name"] == "[Z2] H2 vs M2_2"
+    # passthrough (Type I/IV) triples are not compared
+    assert [p["name"] for p in sections["normalize preserves identities"]["pairs"]] \
+        == ["normalize M2_2", "normalize H2", "normalize M2C_Z4",
+            "normalize M4_4", "normalize quat_trivial"]
+    assert sections["catalog validation"]["pairs"] == []
+    assert all(p["seconds"] >= 0 for s in sections.values() for p in s["pairs"])

@@ -8,6 +8,8 @@ models and its kernel dimension computed by SVD rank.
 import hashlib
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,14 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedpi.algebras import (TripleSpec, catalog, catalog_names,
-                               matrix_over_division, trivially_graded_reals)
+import gradedpi
+from gradedpi.algebras import (GradedAlgebra, TripleSpec, catalog,
+                               catalog_names, matrix_over_division,
+                               quotient_grading, trivially_graded_reals)
 from gradedpi.errors import (InadmissibleSubstitution, InvariantViolation,
                              PolynomialSyntaxError, PreconditionError)
 from gradedpi.groups import Subgroup, make_group, make_hom
 from gradedpi.identities import (GradedPolynomial, IdentitySpace, VarRef,
-                                 evaluate, identity_space, is_identity,
-                                 monomial_order, parse_polynomial,
+                                 _substitution_basis, evaluate, identity_space,
+                                 is_identity, monomial_order, parse_polynomial,
                                  same_identities_up_to, theta_image)
 from test_algebras import (clock_shift_model, numeric_scalar, quaternion_model,
                            sylvester_model, table_matches_model)
@@ -149,6 +153,20 @@ def test_parse_errors_carry_position(text, pos):
     assert f"position {pos}" in str(info.value)
 
 
+def test_parse_keeps_variable_letters_apart():
+    g = make_group((2, 2))
+    # a second letter for one (degree, index) pair is an error at that letter
+    for text, pos in [("[x[e,1],y[e,1]]", 8), ("x[(1,0),2]*z[e,1]*y[(-1,0),2]", 18)]:
+        with pytest.raises(PolynomialSyntaxError, match="already named 'x'") as info:
+            parse_polynomial(text, g)
+        assert info.value.pos == pos
+    # one letter may name several pairs, and a pair may repeat its letter
+    f = parse_polynomial("x[e,1]*x[e,2] + x[e,1]", g)
+    assert set(f.variables()) == {VarRef(g.identity, 1), VarRef(g.identity, 2)}
+    assert parse_polynomial("[x[e,1],y[e,2]]", g) == \
+        parse_polynomial("[y[e,1],x[e,2]]", g)
+
+
 GROUPS = [make_group((5,)), make_group((2, 3))]
 SPACING = st.sampled_from(["", " ", "\t", "  "])
 
@@ -165,7 +183,8 @@ def _variable_texts(draw, group):
         text = str(exps[0]) if form == "bare" else \
             "(" + ",".join(map(str, exps)) + ")"
     index = draw(st.integers(1, 3))
-    name = draw(st.sampled_from(["x", "y", "v2"]))
+    # one text names each (degree, index) pair with one letter
+    name = ["x", "y", "v2"][index - 1]
     return f"{name}[{text},{index}]", GradedPolynomial.variable(group, degree, index)
 
 
@@ -374,10 +393,14 @@ def _reference_image(a, degrees):
     (("M2C_Z4",), ((1,), (1,), (2,))),
     (("H4",), ((1, 0), (1, 0), (1, 0))),
     (("quat_trivial",), ((0, 0), (0, 0), (0, 0))),
-], ids=["H2", "M4_4", "pauli(3,1)", "M2C_Z4", "H4", "quat_trivial-full-rank"])
+    (("pauli", 4, 1), ((1, 0), (0, 1), (1, 0))),
+    (("pauli", 3, 1), ((1, 0), (0, 1), (1, 0), (2, 2))),
+], ids=["H2", "M4_4", "pauli(3,1)", "M2C_Z4", "H4", "quat_trivial-full-rank",
+        "pauli(4,1)", "pauli(3,1)-degree-4"])
 def test_image_matches_element_product_reference(params, exps):
     # repeated degrees and repeated basis elements spell one word in several
-    # ways; the full-rank case stops before the last substitution
+    # ways; the full-rank case stops before the last substitution; the pauli
+    # cases substitute only half of each component (the central i of A_e)
     a = catalog(*params)
     degrees = tuple(a.group.element(x) for x in exps)
     want = _reference_image(a, degrees)
@@ -421,6 +444,120 @@ def test_images_are_pinned(name):
         for degrees in itertools.product(sorted(a.support()), repeat=size):
             h.update(repr((degrees, identity_space(a, degrees).image)).encode())
     assert h.hexdigest() == IMAGE_DIGESTS[name]
+
+
+# sha256 over repr((multiset, image)) for every multiset of support degrees
+# of pauli(3,1) up to size 5, computed before substitutions were restricted
+# to generators over the centre of A_e
+PAULI31_DEGREE5_DIGEST = \
+    "eb344cf398135e3811a95afe35acd690e2f9b60a041247d808bca8dafe10523c"
+
+
+def test_pauli31_images_to_degree_5_are_pinned():
+    a = catalog("pauli", 3, 1)
+    h = hashlib.sha256()
+    for size in range(1, 6):
+        for ms in itertools.combinations_with_replacement(sorted(a.support()), size):
+            h.update(repr((ms, identity_space(a, ms).image)).encode())
+    assert h.hexdigest() == PAULI31_DEGREE5_DIGEST
+
+
+def _m2_8_drop_last():
+    z22, z23 = make_group((2, 2)), make_group((2, 2, 2))
+    theta = make_hom(z23, z22, [z22.element(x) for x in ((1, 0), (0, 1), (0, 0))])
+    return quotient_grading(catalog("M2_8"), theta)
+
+
+@pytest.mark.parametrize("build,kept", [
+    (lambda: catalog("pauli", 2, 1), 4),
+    (_m2_8_drop_last, 4),
+    (lambda: catalog("pauli", 3, 1), 9),
+    (lambda: catalog("pauli", 3, 2), 9),
+    (lambda: catalog("pauli", 4, 1), 16),
+    (lambda: catalog("pauli", 4, 3), 16),
+    # the i of M2C_Z4 has degree a^2; A_e of H2 and M2_2 is a commutative C
+    # whose i is not central; A_e of quat_trivial and M4_4 is H
+    (lambda: catalog("M2C_Z4"), 8),
+    (lambda: catalog("H2"), 4),
+    (lambda: catalog("M2_2"), 4),
+    (lambda: catalog("quat_trivial"), 4),
+    (lambda: catalog("M4_4"), 16),
+], ids=["pauli(2,1)", "M2_8/(drop last)", "pauli(3,1)", "pauli(3,2)",
+        "pauli(4,1)", "pauli(4,3)", "M2C_Z4", "H2", "M2_2", "quat_trivial",
+        "M4_4"])
+def test_substitution_basis_sizes(build, kept):
+    a = build()
+    basis = _substitution_basis(a)
+    assert sorted(basis) == sorted(a.support())
+    assert all(set(basis[g]) <= set(a.component(g)) and basis[g] for g in basis)
+    assert sum(map(len, basis.values())) == kept
+    assert a._substitutions is basis and _substitution_basis(a) is basis
+
+
+def _rebased(a, replace):
+    """a with basis element `old` replaced by sum(c * a[l]) for each
+    old -> (label, {l: c}) in `replace`; rational structure constants only."""
+    n = a.dim
+    labels, rows = list(a.labels), [[Fraction(int(i == j)) for j in range(n)]
+                                    for i in range(n)]
+    for old, (label, combo) in replace.items():
+        i = a.label_index(old)
+        labels[i] = label
+        rows[i] = [Fraction(combo.get(l, 0)) for l in a.labels]
+        assert all(a.degrees[j] == a.degrees[i] for j, c in enumerate(rows[i]) if c)
+    # Gauss-Jordan on [rows | 1] leaves [1 | rows^-1]
+    inverse = [r[n:] for r in _reference_rref(
+        [r + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)],
+        2 * n)[0]]
+
+    def coordinates(x):
+        out = [Fraction(0)] * n
+        for m, c in x.coeffs.items():
+            for k in range(n):
+                out[k] += c.as_fraction() * inverse[m][k]
+        return {k: c for k, c in enumerate(out) if c}
+
+    elements = [a.element(dict(enumerate(r))) for r in rows]
+    table = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        entries = tuple(sorted(coordinates(elements[i] * elements[j]).items()))
+        if entries:
+            table[(i, j)] = entries
+    unit = coordinates(a.one())
+    return GradedAlgebra(a.group, a.conductor, labels, a.degrees, table, unit)
+
+
+def test_unaligned_basis_keeps_every_generator():
+    # pauli(2,1) graded by Z2 through (a,b) -> a, with A_1 spanned by
+    # X, iX + XY, iX - XY, iXY: i times each of them has two entries, so
+    # none of them is reached from another, while A_e still halves
+    z22, z2 = make_group((2, 2)), make_group((2,))
+    a = quotient_grading(catalog("pauli", 2, 1),
+                         make_hom(z22, z2, [z2.element((1,)), z2.identity]))
+    b = _rebased(a, {"iX1Y0": ("iX+XY", {"iX1Y0": 1, "X1Y1": 1}),
+                     "X1Y1": ("iX-XY", {"iX1Y0": 1, "X1Y1": -1})})
+    e, g = z2.identity, z2.element((1,))
+    for degrees in [(g, g), (e, g, g), (g, g, g)]:
+        want = _reference_image(a, degrees)
+        assert identity_space(b, degrees).image == want
+        assert identity_space(a, degrees).image == want
+    # [x_1, y_1] is no identity: X and XY anticommute
+    assert identity_space(b, (g, g)).dimension == 0
+    assert (len(_substitution_basis(b)[e]), len(_substitution_basis(b)[g])) == (2, 4)
+    assert (len(_substitution_basis(a)[e]), len(_substitution_basis(a)[g])) == (2, 2)
+
+
+def test_identities_do_not_import_structure():
+    # brute force stays independent of the structural engine; the package
+    # __init__ imports everything, so load the submodule under a bare package
+    code = (
+        "import importlib, sys, types\n"
+        f"pkg = types.ModuleType('gradedpi'); pkg.__path__ = {list(gradedpi.__path__)!r}\n"
+        "sys.modules['gradedpi'] = pkg\n"
+        "importlib.import_module('gradedpi.identities')\n"
+        "assert 'gradedpi.identities' in sys.modules\n"
+        "assert 'gradedpi.structure' not in sys.modules, sorted(sys.modules)\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_empty_component_space_has_empty_image():
