@@ -32,7 +32,7 @@ from math import gcd, lcm
 
 from .errors import PreconditionError
 from .groups import FinAbGroup, GroupElement, GroupHom, Subgroup
-from .scalars import CycloScalar, RowReducer, totient
+from .scalars import CycloScalar, field_pivots, totient
 
 
 class GradedAlgebra:
@@ -411,34 +411,6 @@ def left_multiplication_matrix(x: AlgebraElement, indices=None, targets=None):
     return [[col.get(k, zero) for col in columns] for k in targets]
 
 
-def _field_rank(rows: list[list[CycloScalar]]) -> int:
-    if rows and all(all(c.is_rational() for c in row) for row in rows):
-        red = RowReducer(len(rows[0]))
-        for row in rows:
-            den = 1
-            for c in row:
-                den = lcm(den, c.den)
-            red.add([c.num[0] * (den // c.den) for c in row])
-        return red.rank
-    rows = [list(r) for r in rows]
-    rank, width = 0, len(rows[0]) if rows else 0
-    pivot_rows: list[tuple[int, list[CycloScalar]]] = []
-    for row in rows:
-        for lead, prow in pivot_rows:
-            if not row[lead].is_zero():
-                f = row[lead]
-                for j in range(width):
-                    row[j] = row[j] - f * prow[j]
-        lead = next((j for j in range(width) if not row[j].is_zero()), None)
-        if lead is None:
-            continue
-        inv = row[lead].inverse()
-        row = [c * inv for c in row]
-        pivot_rows.append((lead, row))
-        rank += 1
-    return rank
-
-
 def is_invertible(x: AlgebraElement) -> bool:
     """Whether L_x is bijective.
 
@@ -453,7 +425,7 @@ def is_invertible(x: AlgebraElement) -> bool:
     a = x.parent
     g = x.degree()
     if g is None:
-        return _field_rank(left_multiplication_matrix(x)) == a.dim
+        return len(field_pivots(left_multiplication_matrix(x))) == a.dim
     # every block is read before any verdict, so that a misgraded table raises
     blocks = [(len(source), left_multiplication_matrix(x, source, a.component(g * h)))
               for h, source in a._components.items()]
@@ -463,7 +435,7 @@ def is_invertible(x: AlgebraElement) -> bool:
         if n == 1:
             if block[0][0].is_zero():
                 return False
-        elif _field_rank(block) != n:
+        elif len(field_pivots(block)) != n:
             return False
     return True
 
@@ -496,9 +468,10 @@ def _e_component_division(a: GradedAlgebra) -> DivisionVerdict:
     T(x, y) = Tr(L_xy) on A_e.  For d = dim A_e in {2, 4}, A_e is a division
     algebra exactly when T is negative definite on the T-orthogonal
     complement of the unit (see the module docstring for why), which holds
-    exactly when every leading principal minor of the negated form is
-    positive.  A "no" carries a non-invertible element of A_e found among the
-    small integer combinations of its basis, or None when there is none.
+    exactly when the pivots of the negated form, read in one elimination,
+    are all positive (`_positive_definite`).  A "no" carries a
+    non-invertible element of A_e found among the small integer
+    combinations of its basis, or None when there is none.
     Dimension 1 is R; by Frobenius's theorem no other dimension is that of a
     real division algebra, and those get "no" without a witness.
     """
@@ -520,33 +493,20 @@ def _e_component_division(a: GradedAlgebra) -> DivisionVerdict:
     form = [[tr[i] * tr[j] / d - sum(mats[i][k][j] * tr[k] for k in range(d))
              for j in keep] for i in keep]
     size = "binary" if d == 2 else "quaternary"
-    if all(_field_det([row[:k] for row in form[:k]]).sign() > 0 for k in range(1, d)):
+    if _positive_definite(form):
         return DivisionVerdict("yes", reason=f"definite {size} norm form")
     w = _search_noninvertible(a, e_idx, bound=2 if d == 2 else 1)
     return DivisionVerdict("no", witness=w,
                            reason=f"indefinite or degenerate {size} norm form")
 
 
-def _field_det(mat):
-    # Gaussian elimination determinant over the cyclotomic field.
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = CycloScalar.one(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if pivot is None:
-            return CycloScalar.zero(1)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, n):
-            if not m[r][col].is_zero():
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - f * m[col][c]
-    return det
+def _positive_definite(form) -> bool:
+    """Whether a symmetric form over a real field is positive definite: its
+    pivots lead in columns 0, 1, 2, ... in that order, so that no leading
+    principal minor D_k vanishes, and each pivot D_(k+1) / D_k is > 0."""
+    pivots = field_pivots(form)
+    return (list(pivots) == list(range(len(form)))
+            and all(prow[k].sign() > 0 for k, prow in pivots.items()))
 
 
 def check_graded_division(a: GradedAlgebra) -> DivisionVerdict:

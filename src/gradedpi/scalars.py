@@ -10,9 +10,10 @@ canonical.  Values at different conductors are compared (and combined) after
 promotion to the lcm, using the compatible embedding zeta_M = zeta_{kM}^k.
 
 Real numbers are the conjugation-fixed elements; `sign` decides the sign of a
-nonzero real value exactly, using an algebraic lower bound |x| >= |N(x)| / S^(d-1)
-(N = field norm, S = sum of |coefficients|, d = degree) together with an
-mpmath evaluation at sufficient precision.
+nonzero real value exactly, from rational enclosures of cos(2*pi*k/M) that
+are narrowed until the enclosure of the value excludes 0.  `field_pivots`
+and `field_solve` are Gaussian elimination over Q(zeta_M); `RowReducer` is
+the fraction-free reduced row echelon form over Q.
 """
 
 from __future__ import annotations
@@ -393,15 +394,6 @@ class CycloScalar:
     def rational_coordinates(self) -> tuple[Fraction, ...]:
         return self.coeffs
 
-    def norm(self) -> Fraction:
-        """Field norm: product over all Galois conjugates (a rational)."""
-        m = self.conductor
-        prod = CycloScalar.one(m)
-        for j in range(1, m + 1):
-            if gcd(j, m) == 1:
-                prod = prod * self.galois(j % m if m > 1 else 1)
-        return prod.as_fraction()
-
     def sign(self) -> int:
         """Exact sign of a real value: -1, 0, or 1."""
         if not self.is_real():
@@ -410,25 +402,16 @@ class CycloScalar:
             return 0
         if self.is_rational():
             return 1 if self.num[0] > 0 else -1
-        import mpmath
-
-        m = self.conductor
-        size = Fraction(sum(abs(c) for c in self.num), self.den)
-        bound = abs(self.norm()) / size ** (totient(m) - 1)  # |x| >= bound > 0
-        digits = 30
+        # narrow the enclosure of sum num[k] cos(2 pi k / m) until it excludes
+        # 0, which it does once its radius is below the (nonzero) value
+        bits = 64
         while True:
-            with mpmath.workdps(digits):
-                val = mpmath.mpf(0)
-                for k, c in enumerate(self.num):
-                    if c:
-                        val += mpmath.mpf(c) / self.den * \
-                            mpmath.cos(2 * mpmath.pi * k / m)
-                err = mpmath.mpf(10) ** (8 - digits) * (1 + float(size))
-                if abs(val) > err and abs(val) > mpmath.mpf(bound.numerator) / bound.denominator / 2:
-                    return 1 if val > 0 else -1
-            digits *= 2
-            if digits > 10000:  # pragma: no cover - bound guarantees termination
-                raise ArithmeticError("sign evaluation did not converge")
+            terms = [(c, _cos_enclosure(k, self.conductor, bits))
+                     for k, c in enumerate(self.num) if c]
+            mid = sum(c * v for c, (v, _) in terms)
+            if abs(mid) > sum(abs(c) * r for c, (_, r) in terms):
+                return 1 if mid > 0 else -1
+            bits *= 2
 
     # -- real/imaginary parts (conductor divisible by 4) ----------------
 
@@ -483,6 +466,40 @@ _set_num = CycloScalar.num.__set__
 _set_den = CycloScalar.den.__set__
 
 
+@lru_cache(maxsize=None)
+def _cos_enclosure(k: int, m: int, bits: int) -> tuple[int, int]:
+    """(v, r) with |cos(2 pi k / m) - v / 2^bits| <= r / 2^bits; r / 2^bits -> 0
+    as bits grows.  Every floor below is off by less than 1, counted in r."""
+    one = 1 << bits
+    # Machin: pi = 16 atan(1/5) - 4 atan(1/239).  q is floor(one / n^(2j+1));
+    # each series alternates, so it is off by less than its first term left
+    # out, which is below one unit once q = 0
+    p = r = 0
+    for n, w in ((5, 16), (239, -4)):
+        q, j = one // n, 0
+        while q:
+            p += (-w if j % 2 else w) * (q // (2 * j + 1))
+            q //= n * n
+            j += 1
+        r += abs(w) * (j + 1)
+    # cos(2 pi k/m) = sign * cos(pi a/m) with a/m <= 1/2; cos is 1-Lipschitz
+    k = min(k % m, -k % m)
+    a, sign = (2 * k, 1) if 4 * k <= m else (m - 2 * k, -1)
+    t = p * a // m
+    r = (r + 1) // 2 + 1
+    # Taylor series of cos at t / one: c is the n-th term, off by at most e;
+    # the remainder is at most the first term left out (Lagrange), so at
+    # most e once c = 0
+    v, c, e, n = 0, one, 0, 0
+    while c:
+        v += -c if n % 2 else c
+        r += e
+        n += 1
+        d = one * one * (2 * n - 1) * 2 * n
+        c, e = c * t * t // d, e * t * t // d + 2
+    return sign * v, r + e
+
+
 def sqrt_of_rational_in_field(value, conductor: int) -> CycloScalar | None:
     """Nonnegative square root of rational `value` inside Q(zeta_conductor), or None.
 
@@ -498,19 +515,18 @@ def sqrt_of_rational_in_field(value, conductor: int) -> CycloScalar | None:
             return None
         q = -q
     n = q.numerator * q.denominator  # sqrt(q) = sqrt(n) / denominator
-    square, free = 1, 1
+    square, free = 1, []  # n = square^2 * product(free), free the odd-power primes
     d = 2
     while d * d <= n:
         while n % (d * d) == 0:
             square *= d
             n //= d * d
         if n % d == 0:
-            free *= d
+            free.append(d)
             n //= d
         d += 1
-    free *= n
     root = CycloScalar.rational(Fraction(square, q.denominator), conductor)
-    for p in _prime_factors(free):
+    for p in free + ([n] if n > 1 else []):  # what is left of n is 1 or a prime
         g = _sqrt_prime(p, conductor)
         if g is None:
             return None
@@ -522,19 +538,6 @@ def sqrt_of_rational_in_field(value, conductor: int) -> CycloScalar | None:
     if negative:
         root = root * CycloScalar.root_of_unity(4, 1, conductor)
     return root
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _sqrt_prime(p: int, conductor: int) -> CycloScalar | None:
@@ -555,6 +558,53 @@ def _sqrt_prime(p: int, conductor: int) -> CycloScalar | None:
         # Gauss sum equals i*sqrt(p); divide out i.
         total = total / CycloScalar.root_of_unity(4, 1, conductor)
     return total
+
+
+def field_pivots(rows, unknowns: int | None = None) -> dict[int, list[CycloScalar]]:
+    """Gaussian elimination over Q(zeta_m), one row of CycloScalars at a time.
+
+    A row left nonzero by the pivot rows so far is kept, unnormalised, under
+    its leading column, in the order found; so the rank is len(result), and
+    a symmetric matrix whose rows lead in columns 0, 1, 2, ... has D_(k+1)/D_k
+    as its k-th pivot (D_k the k-th leading principal minor, D_0 = 1).  With
+    `unknowns=n`, rows are [A | b] in n unknowns; elimination stops once
+    columns 0 .. n-1 all lead, or when a row leads in column n (no solution).
+    """
+    pivots, inverses = {}, {}
+    for row in rows:
+        row = list(row)
+        for lead, prow in pivots.items():
+            f = row[lead]
+            if f:
+                f = f * inverses[lead]
+                row[lead:] = [c - f * p if p else c
+                              for c, p in zip(row[lead:], prow[lead:])]
+        lead = next((j for j, c in enumerate(row) if c), None)
+        if lead is None:
+            continue
+        pivots[lead] = row
+        if unknowns is not None and (lead == unknowns or len(pivots) == unknowns):
+            break
+        inverses[lead] = row[lead].inverse()
+    return pivots
+
+
+def field_solve(rows, unknowns: int) -> list[CycloScalar] | None:
+    """The x with sum_j row[j] x[j] = row[unknowns] on the rows that determine
+    it, or None; the rows after those are not read, so callers check them."""
+    pivots = field_pivots(rows, unknowns)
+    if len(pivots) != unknowns or unknowns in pivots:
+        return None
+    # a pivot row is nonzero off its lead only in the leading columns found
+    # after it, so back-substitute in reverse order
+    x: list = [None] * unknowns
+    for lead, prow in reversed(pivots.items()):
+        s = prow[unknowns]
+        for j in range(lead + 1, unknowns):
+            if prow[j]:
+                s = s - prow[j] * x[j]
+        x[lead] = s / prow[lead]
+    return x
 
 
 def _integer_row(row) -> list[int]:

@@ -30,7 +30,7 @@ from .errors import InvariantViolation, PreconditionError
 from .groups import (CosetDecomposition, GroupElement, GroupHom, Subgroup,
                      is_elementary_2group, quotient_hom, squares_subgroup,
                      subgroup_as_group)
-from .scalars import CycloScalar
+from .scalars import CycloScalar, field_solve
 
 
 # -- commutation factors ---------------------------------------------------
@@ -58,8 +58,8 @@ def _pair_factor(pairs, j: AlgebraElement | None = None):
     commutation factor: a pair with both sides zero is skipped, and the
     answer is None when exactly one side of a pair vanishes or when every
     pair vanishes.  lambda is solved from the first pair that does not
-    vanish (`_ratio`, or `_solve_two` on (y, J*y)) and must be real; each
-    pair, that one included, is checked once.
+    vanish (`_ratio`, or `field_solve` for x = l1*y + l2*J*y) and must be
+    real; each pair, that one included, is checked once.
     """
     lam = None
     for x, y in pairs:
@@ -73,7 +73,7 @@ def _pair_factor(pairs, j: AlgebraElement | None = None):
                 if lam is None or not lam.is_real():
                     return None
             else:
-                sol = _solve_two(x, y, j * y)
+                sol = field_solve(_coordinate_rows(y, j * y, x), 2)
                 if sol is None or not (sol[0].is_real() and sol[1].is_real()):
                     return None
                 l1, l2 = sol
@@ -117,30 +117,11 @@ def complex_commutation_factor(a: GradedAlgebra, g: GroupElement,
     return _pair_factor(_basis_pairs(a, g, h), j)
 
 
-def _solve_two(target: AlgebraElement, u: AlgebraElement, v: AlgebraElement):
-    """Scalars (l1, l2) with target = l1*u + l2*v, via exact elimination."""
-    keys = sorted(set(target.coeffs) | set(u.coeffs) | set(v.coeffs))
-    cond = target.parent.conductor
-    zero = CycloScalar.zero(cond)
-    eqs = [(u.coeffs.get(k, zero), v.coeffs.get(k, zero),
-            target.coeffs.get(k, zero)) for k in keys]
-    first = next((e for e in eqs if not e[0].is_zero()), None)
-    if first is None:
-        return None
-    a1, b1, c1 = first
-    inv1 = a1.inverse()
-    second = None
-    for a2, b2, c2 in eqs:
-        f = a2 * inv1
-        res = b2 - f * b1
-        if not res.is_zero():
-            second = (res, c2 - f * c1)
-            break
-    if second is None:
-        return None
-    l2 = second[1] * second[0].inverse()
-    l1 = (c1 - b1 * l2) * inv1
-    return l1, l2
+def _coordinate_rows(*elems: AlgebraElement):
+    """The coordinates of the elements as columns, on their joint support."""
+    zero = CycloScalar.zero(elems[0].parent.conductor)
+    keys = sorted(set().union(*(e.coeffs for e in elems)))
+    return [[e.coeffs.get(k, zero) for e in elems] for k in keys]
 
 
 # -- complex units ----------------------------------------------------------
@@ -237,7 +218,7 @@ def find_complex_unit(a: GradedAlgebra):
         if w is None:
             continue
         ww = w * w
-        sol = _solve_two(ww, one, w)
+        sol = field_solve(_coordinate_rows(one, w, ww), 2)
         if sol is None:
             continue
         p, q = sol

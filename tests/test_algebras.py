@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedpi.algebras import (GradedAlgebra, TripleSpec, _field_rank,
+from gradedpi.algebras import (GradedAlgebra, TripleSpec, _positive_definite,
                                catalog, catalog_names, check_graded_division,
                                is_invertible, left_multiplication_matrix,
                                matrix_over_division, quotient_grading,
@@ -23,7 +23,7 @@ from gradedpi.algebras import (GradedAlgebra, TripleSpec, _field_rank,
                                validate)
 from gradedpi.errors import PreconditionError
 from gradedpi.groups import Subgroup, make_group, make_hom
-from gradedpi.scalars import CycloScalar
+from gradedpi.scalars import CycloScalar, field_pivots
 
 NAMED = ["H4", "M2_4", "M2_2", "H2", "C2", "M2C_Z4", "M2_8", "M4_4",
          "quat_trivial"]
@@ -218,7 +218,7 @@ def test_homogeneous_elements_of_division_gradings_invert():
 
 def full_rank_invertible(x) -> bool:
     """The reference: the rank of the whole dim x dim matrix of L_x."""
-    return _field_rank(left_multiplication_matrix(x)) == x.parent.dim
+    return len(field_pivots(left_multiplication_matrix(x))) == x.parent.dim
 
 
 def combinator_outputs():
@@ -505,6 +505,26 @@ def test_split_r4_in_a_skew_basis_is_not_division():
     got = check_graded_division(alg)
     assert got.verdict == "no"
     assert got.witness is not None and not is_invertible(got.witness)
+
+
+def form_of(rows, conductor=8):
+    return [[CycloScalar.coerce(v, conductor) for v in row] for row in rows]
+
+
+def test_definiteness_reads_pivot_order_and_signs():
+    z = CycloScalar.root_of_unity(8)
+    r2 = z + z.conjugate()  # sqrt(2)
+    definite = [[[2, 1], [1, 2]], [[r2, 1], [1, r2]], [[1]],
+                [[4, 1, 0], [1, 3, 1], [0, 1, 2]]]
+    # pivots 1, 1, 1 leading in columns 0, 2, 1 (D_2 = 0); a negative pivot;
+    # D_2 < 0; a zero corner; a negative first entry; D_2 = -1 - 2 sqrt(2)
+    not_definite = [[[1, 1, 1], [1, 1, 2], [1, 2, 1]], [[1, 0], [0, -1]],
+                    [[1, 2], [2, 1]], [[0, 1], [1, 0]], [[-1]],
+                    [[1, r2 + 1], [r2 + 1, 2]]]
+    for rows in definite:
+        assert _positive_definite(form_of(rows)), rows
+    for rows in not_definite:
+        assert not _positive_definite(form_of(rows)), rows
 
 
 # -- combinators --------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Command-line interface: commands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +28,22 @@ def test_catalog_list(capsys, cache_args):
     code, out, _ = run(cache_args + ["catalog", "list"], capsys)
     assert code == 0
     assert "H4" in out and "pauli(n,k)" in out
+
+
+def test_module_form_runs_the_command_line():
+    # `python3 -m gradedpi` prints what `python3 -m gradedpi.cli` prints,
+    # apart from the elapsed-time line
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    outs = []
+    for module in ("gradedpi", "gradedpi.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "catalog", "list"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outs.append([line for line in done.stdout.splitlines()
+                     if not line.startswith("time:")])
+    assert outs[0] == outs[1] and any("pauli(n,k)" in line for line in outs[0])
 
 
 def test_classify_table_output(capsys, cache_args):

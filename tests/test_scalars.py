@@ -1,19 +1,25 @@
 """Exact cyclotomic scalars and rational row reduction.
 
-Frozen values are cross-checked against mpmath complex evaluation; the
-hypothesis suites pin the ring axioms and the Galois action.
+Frozen values are cross-checked against mpmath complex evaluation, which
+also serves as the oracle of the exact sign (mpmath is a test dependency
+only); the hypothesis suites pin the ring axioms and the Galois action.
 """
 
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedpi.errors import PreconditionError
 from gradedpi.scalars import (CycloScalar, RowReducer, cyclotomic_polynomial,
+                              field_pivots, field_solve,
                               sqrt_of_rational_in_field, totient)
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12]
@@ -128,6 +134,82 @@ def test_sign_of_real_cyclotomics():
     assert CycloScalar.zero(8).sign() == 0
     with pytest.raises(PreconditionError):
         z.sign()  # not real
+
+
+SIGN_CONDUCTORS = [5, 7, 8, 9, 12, 15, 16, 20, 24, 60]
+
+
+def sqrt2():
+    z = CycloScalar.root_of_unity(8)
+    return z + z.conjugate()
+
+
+def oracle_value(x: CycloScalar):
+    """x at 60 significant digits, as sum num[k] cos(2 pi k / m) / den."""
+    with mpmath.workdps(60):
+        return sum(mpmath.mpf(c) * mpmath.cos(2 * mpmath.pi * k / x.conductor)
+                   for k, c in enumerate(x.num) if c) / x.den
+
+
+def oracle_sign(x: CycloScalar) -> int:
+    v = oracle_value(x)
+    # every nonzero value tested is far larger than the oracle's error
+    assert v == 0 or abs(v) > mpmath.mpf(10) ** -40
+    return (v > 0) - (v < 0)
+
+
+def random_reals(m: int, rng: random.Random, count: int):
+    """Real elements x + conj(x) with small integer coordinates, and each
+    irrational one minus a close rational approximation, so that some are
+    near zero."""
+    out = []
+    for _ in range(count):
+        x = CycloScalar(m, [rng.randint(-5, 5) for _ in range(totient(m))])
+        y = x + x.conjugate()
+        out.append(y)
+        if not y.is_rational():
+            bound = rng.choice([10, 10**4, 10**8])
+            out.append(y - Fraction(float(oracle_value(y))).limit_denominator(bound))
+    return out
+
+
+@pytest.mark.parametrize("m", SIGN_CONDUCTORS)
+def test_exact_sign_matches_mpmath(m):
+    rng = random.Random(m)
+    for y in random_reals(m, rng, 30):
+        assert y.sign() == oracle_sign(y), y
+        assert (-y).sign() == -y.sign()
+
+
+@pytest.mark.parametrize("p, q", [(3, 2), (7, 5), (99, 70), (1393, 985),
+                                  (665857, 470832), (1607521, 1136689),
+                                  (886731088897, 627013566048),
+                                  (2140758220993, 1513744654945)])
+def test_exact_sign_near_zero_pell_convergents(p, q):
+    # p^2 - 2q^2 = +-1, so sqrt(2) - p/q has the sign of 2q^2 - p^2 and size
+    # about 1 / (2.83 q^2), down to 1.5e-25: both signs below 2^-64
+    for m in (8, 24, 40):
+        x = sqrt2().promote(m) - Fraction(p, q)
+        want = 1 if 2 * q * q > p * p else -1
+        assert x.sign() == want == oracle_sign(x)
+        assert (-x).sign() == -want
+
+
+def test_sign_does_not_import_mpmath():
+    # classification, division checks and the sign run on the standard
+    # library alone; mpmath stays a test oracle
+    code = (
+        "import sys\n"
+        "from gradedpi.algebras import catalog, catalog_names\n"
+        "from gradedpi.structure import classify\n"
+        "for name in catalog_names():\n"
+        "    if name != 'pauli(n,k)':\n"
+        "        classify(catalog(name))\n"
+        "classify(catalog('pauli', 3, 1))\n"
+        "z = __import__('gradedpi.scalars').scalars.CycloScalar.root_of_unity(8)\n"
+        "assert (z + z.conjugate()).sign() == 1\n"
+        "assert 'mpmath' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_galois_permutes_roots():
@@ -358,6 +440,29 @@ def test_sqrt_in_field_hits():
     assert r is not None and r * r == CycloScalar.rational(Fraction(9, 4))
 
 
+def odd_power_primes(n: int) -> set[int]:
+    out, p = set(), 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e % 2:
+            out.add(p)
+        p += 1
+    return out
+
+
+def test_sqrt_in_field_of_composite_radicands():
+    # Q(zeta_120) holds sqrt(2), sqrt(3) and sqrt(5) but not sqrt(7): the root
+    # of n/9 exists exactly when every prime to an odd power in n is 2, 3 or
+    # 5, and it is the positive one
+    for n in range(1, 100):
+        r = sqrt_of_rational_in_field(Fraction(n, 9), 120)
+        assert (r is not None) == (odd_power_primes(n) <= {2, 3, 5}), n
+        if r is not None:
+            assert r * r == Fraction(n, 9) and r.sign() == 1
+
+
 def test_sqrt_in_field_misses():
     assert sqrt_of_rational_in_field(Fraction(2), 4) is None
     assert sqrt_of_rational_in_field(Fraction(3), 8) is None
@@ -480,3 +585,63 @@ def test_row_reducer_matches_fraction_gauss_jordan(data):
     if rows:
         s = data.draw(entry)
         assert not any(red.reduce([s * u for u in rows[-1]]))
+
+
+# -- elimination over the cyclotomic field ----------------------------------
+
+
+def embed(x: CycloScalar) -> complex:
+    z = np.exp(2j * np.pi / x.conductor)
+    return complex(sum(float(c) * z ** k for k, c in enumerate(x.coeffs)))
+
+
+def small_scalar(m: int, rng: random.Random) -> CycloScalar:
+    return CycloScalar(m, [rng.randint(-2, 2) for _ in range(totient(m))])
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_field_rank_matches_complex_rank(m):
+    # products B C of an n x r and an r x n matrix have rank at most r, so
+    # the ranks cover the whole range rather than only full rank
+    rng = random.Random(m)
+    for _ in range(25):
+        n, r = rng.randint(1, 4), rng.randint(1, 4)
+        b = [[small_scalar(m, rng) for _ in range(r)] for _ in range(n)]
+        c = [[small_scalar(m, rng) for _ in range(n)] for _ in range(r)]
+        mat = [[sum((b[i][t] * c[t][j] for t in range(r)), CycloScalar.zero(m))
+                for j in range(n)] for i in range(n)]
+        want = np.linalg.matrix_rank(np.array([[embed(v) for v in row] for row in mat]))
+        assert len(field_pivots(mat)) == want
+
+
+def rows_of(m, rows):
+    return [[CycloScalar.coerce(v, m) if isinstance(v, int) else v for v in row]
+            for row in rows]
+
+
+def test_field_pivots_keep_unnormalised_rows_by_lead():
+    pivots = field_pivots(rows_of(1, [[1, 1, 1], [1, 1, 2], [1, 2, 1]]))
+    assert list(pivots) == [0, 2, 1]
+    assert [pivots[k][k] for k in pivots] == [1, 1, 1]
+    pivots = field_pivots(rows_of(1, [[2, 1], [1, 2]]))
+    assert list(pivots) == [0, 1]
+    assert (pivots[0][0], pivots[1][1]) == (2, Fraction(3, 2))  # D_1, D_2 / D_1
+
+
+def test_field_solve_solves_over_the_field():
+    i = CycloScalar.root_of_unity(4)
+    # x + i y = 1 + 2i and y = 2 + i, after a zero row; the repeated row
+    # comes after x is determined and is not read
+    rows = [[0, 0, 0], [1, i, 1 + 2 * i], [0, 1, 2 + i], [1, i, 1 + 2 * i]]
+    x, y = field_solve(rows_of(4, rows), 2)
+    assert y == 2 + i and x + i * y == 1 + 2 * i
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2], [0, 3, 4]],          # zero first column
+    [[1, 2, 3], [2, 4, 6], [3, 6, 9]],  # dependent columns
+    [[1, 2, 3], [0, 0, 1], [0, 1, 1]],  # contradiction before determining rows
+    [],
+])
+def test_field_solve_returns_none(rows):
+    assert field_solve(rows_of(1, rows), 2) is None
