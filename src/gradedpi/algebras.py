@@ -9,7 +9,10 @@ Construction never guesses: catalog entries carry their division provenance,
 everything else can be checked with `check_graded_division`, whose criterion
 is: the e-component is a real division algebra and every homogeneous basis
 element is invertible (then each component A_g equals u*A_e for any invertible
-u in it, so all nonzero homogeneous elements are invertible).
+u in it, so all nonzero homogeneous elements are invertible).  A basis
+element u of degree g is invertible exactly when u*y = 1 has a solution y in
+A_(g^-1): one linear solve over the field from A_(g^-1) to A_e, since a right
+inverse is an inverse in a finite-dimensional associative algebra.
 
 Whether A_e is a division algebra is decided by its trace form
 T(x, y) = Tr(L_xy): for dim A_e in {2, 4}, A_e is a division algebra exactly
@@ -241,8 +244,8 @@ class AlgebraElement:
     __slots__ = ("parent", "coeffs")
 
     def __init__(self, parent: GradedAlgebra, coeffs: dict):
-        # coefficients are kept at the parent conductor so that coords() slots
-        # mean the same power-basis position for every coefficient
+        # coefficients are kept at the parent conductor, where equal scalars
+        # have equal coordinates (see __eq__)
         self.parent = parent
         cond = parent.conductor
         out = {}
@@ -319,15 +322,6 @@ class AlgebraElement:
     def __hash__(self):
         return hash((id(self.parent),
                      tuple((i, self.coeffs[i]) for i in sorted(self.coeffs))))
-
-    def coords(self) -> dict[tuple[int, int], Fraction]:
-        """Rational coordinates: (basis index, power-basis slot) -> value."""
-        out = {}
-        for i, c in self.coeffs.items():
-            for k, q in enumerate(c.rational_coordinates()):
-                if q:
-                    out[(i, k)] = q
-        return out
 
     def __repr__(self):
         if not self.coeffs:
@@ -412,32 +406,32 @@ def left_multiplication_matrix(x: AlgebraElement, indices=None, targets=None):
 
 
 def is_invertible(x: AlgebraElement) -> bool:
-    """Whether L_x is bijective.
+    """Whether x has an inverse, decided by whether x*y = 1 has a solution y.
 
-    For x homogeneous of degree g, L_x maps each component A_h into A_gh, so
-    it is bijective exactly when every block A_h -> A_gh is square and of
-    full rank; a 1x1 block only needs a nonzero product.  Mixed elements take
-    the rank of the whole matrix.  A product of homogeneous basis elements
-    outside A_gh raises PreconditionError.
+    In a finite-dimensional associative algebra a right inverse is an
+    inverse: x*y = 1 gives x*(y*z) = z, so L_x is onto, hence one-to-one.
+    For x homogeneous of degree g, the unit lies in A_e and L_x maps A_h
+    into A_gh, so an inverse lies in A_(g^-1) and only the block
+    A_(g^-1) -> A_e is read; for mixed x the whole matrix is.  The unit's
+    coordinates are the last column, and y exists exactly when no pivot of
+    the eliminated block leads there.  Every row is read, so a block with
+    more rows than columns is decided by all of them.  A product of basis
+    elements of that block outside A_e raises PreconditionError.
     """
     if x.is_zero():
         return False
     a = x.parent
     g = x.degree()
     if g is None:
-        return len(field_pivots(left_multiplication_matrix(x))) == a.dim
-    # every block is read before any verdict, so that a misgraded table raises
-    blocks = [(len(source), left_multiplication_matrix(x, source, a.component(g * h)))
-              for h, source in a._components.items()]
-    for n, block in blocks:
-        if len(block) != n:
-            return False
-        if n == 1:
-            if block[0][0].is_zero():
-                return False
-        elif len(field_pivots(block)) != n:
-            return False
-    return True
+        source = target = range(a.dim)
+    else:
+        source = a.component(g.inverse())
+        target = a.component(a.group.identity)
+    rows = left_multiplication_matrix(x, source, target)
+    zero = CycloScalar.zero(a.conductor)
+    for row, k in zip(rows, target):
+        row.append(a.unit.get(k, zero))
+    return len(source) not in field_pivots(rows)
 
 
 @dataclass

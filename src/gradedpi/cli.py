@@ -431,7 +431,7 @@ def main(argv=None) -> int:
         print(emit(doc, "structured"))
     elif args.cmd != "selftest":
         print(emit(doc, "table"))
-        print(f"time: {time.time() - t0:.2f}s")
+        print(f"time: {time.time() - t0:.2f}s", file=sys.stderr)
     return code
 
 

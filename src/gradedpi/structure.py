@@ -179,10 +179,13 @@ def _normalize_sign(j: AlgebraElement) -> AlgebraElement:
 def find_complex_unit(a: GradedAlgebra):
     """A central homogeneous J with J^2 = -unit, or None.
 
-    Degrees g with g^2 = e are scanned in canonical order; in each, the
-    central part is computed exactly and a square root of -unit is solved
-    for when that part has dimension 1, or dimension 2 containing the unit.
-    Ties are broken by making the leading rational coordinate positive.
+    Degrees g with g^2 = e are scanned in canonical order, and in each the
+    central part is computed exactly.  A central part of dimension 1 gives
+    its spanning v.  One of dimension 2 at g = e gives v = w - (q/2)*1 for
+    a w in it off the unit line, with w^2 = p + q*w solved once; then
+    v^2 = (p + q^2/4)*1.  Either way v^2 = c*unit is checked exactly, and
+    for rational c < 0 with sqrt(-1/c) in the field, J = sqrt(-1/c)*v.  Ties
+    are broken by making the leading rational coordinate positive.
     """
     from .scalars import sqrt_of_rational_in_field
 
@@ -190,51 +193,25 @@ def find_complex_unit(a: GradedAlgebra):
     for g in a.support():
         if g * g != e:
             continue
-        vecs = _central_part_vectors(a, g)
-        if not vecs or len(vecs) > 2:
-            continue
-        elems = [_vector_element(a, g, v) for v in vecs]
+        elems = [_vector_element(a, g, v) for v in _central_part_vectors(a, g)]
         if len(elems) == 1:
             v = elems[0]
-            c = _unit_multiple(a, v * v)
-            if c is None or not c.is_rational():
+        elif len(elems) == 2 and g == e:
+            # two independent elements: at most one lies on the unit line
+            w = elems[0] if _unit_multiple(a, elems[0]) is None else elems[1]
+            one = a.one()
+            sol = field_solve(_coordinate_rows(one, w, w * w), 2)
+            if sol is None:
                 continue
-            cq = c.as_fraction()
-            if cq >= 0:
-                continue
-            x = sqrt_of_rational_in_field(Fraction(-1) / cq, a.conductor)
-            if x is None:
-                continue
-            return _normalize_sign(v.scale(x))
-        # dimension 2: need the unit in the central part (g = e case)
-        one = a.one()
-        if g != e or not all(c.is_rational() for c in one.coeffs.values()):
+            v = w - one.scale(sol[1] / 2)
+        else:
             continue
-        w = None
-        for cand in elems:
-            if _unit_multiple(a, cand) is None:
-                w = cand
-                break
-        if w is None:
+        c = _unit_multiple(a, v * v)
+        if c is None or not c.is_rational() or c.as_fraction() >= 0:
             continue
-        ww = w * w
-        sol = field_solve(_coordinate_rows(one, w, ww), 2)
-        if sol is None:
-            continue
-        p, q = sol
-        if not p.is_rational() or not q.is_rational():
-            continue
-        disc = p.as_fraction() + q.as_fraction() ** 2 / 4
-        if disc == 0:
-            continue
-        y = sqrt_of_rational_in_field(Fraction(-1) / disc, a.conductor)
-        if y is None or not y.is_real():
-            continue
-        x = -(y * q) / 2
-        j = one.scale(x) + w.scale(y)
-        if (j * j + one).coeffs:
-            continue
-        return _normalize_sign(j)
+        y = sqrt_of_rational_in_field(-1 / c.as_fraction(), a.conductor)
+        if y is not None:
+            return _normalize_sign(v.scale(y))
     return None
 
 

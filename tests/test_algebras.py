@@ -273,6 +273,23 @@ def test_block_invertibility_of_homogeneous_combinations():
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("name, size, singular", [
+    ("M2_4", 80, 32), ("H4", 80, 0), ("pauli(2,1)", 728, 48),
+    ("M2C_Z4", 728, 32)])
+def test_invertibility_of_mixed_combinations(name, size, singular):
+    # every nonzero {-1, 0, 1} combination of the first six basis elements,
+    # most of them mixed, against the rank of the whole matrix
+    a = catalog("pauli", 2, 1) if name == "pauli(2,1)" else catalog(name)
+    n = min(a.dim, 6)
+    found = []
+    for combo in itertools.product((-1, 0, 1), repeat=n):
+        if any(combo):
+            x = a.element({t: c for t, c in enumerate(combo) if c})
+            assert is_invertible(x) == full_rank_invertible(x), combo
+            found.append(is_invertible(x))
+    assert (len(found), found.count(False)) == (size, singular)
+
+
 def test_unequal_component_dimensions_are_not_invertible():
     # M3(R) graded by (e, e, a): A_e has E11, E12, E21, E22, E33 and A_a the
     # four others, so left multiplication by E13 cannot map A_e onto A_a

@@ -162,6 +162,22 @@ def test_find_complex_unit_skips_noncentral_components():
     assert find_complex_unit(catalog("H2")) is None
 
 
+def test_find_complex_unit_shifts_off_the_unit_line():
+    # C in the basis (1, w = 1 + i), graded trivially by Z2: w^2 = 2i =
+    # -2 + 2w has a w term, so v = w - 1 = i and J = -(w - 1) after the sign
+    # is normalised; without the shift, w^2 is no multiple of the unit
+    g = make_group((2,))
+    a = GradedAlgebra(g, 1, ("1", "w"), (g.identity, g.identity),
+                      {(0, 0): ((0, 1),), (0, 1): ((1, 1),), (1, 0): ((1, 1),),
+                       (1, 1): ((0, -2), (1, 2))}, {0: 1})
+    assert check_graded_division(a).verdict == "yes"
+    j = find_complex_unit(a)
+    assert j == a.element({"1": 1, "w": -1})
+    assert (j * j + a.one()).is_zero()
+    rep = classify(a)
+    assert rep.type_tag == "I" and rep.complex_unit == j
+
+
 # -- bicharacter tables ---------------------------------------------------------
 
 
