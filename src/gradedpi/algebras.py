@@ -49,7 +49,8 @@ class GradedAlgebra:
 
     __slots__ = ("group", "conductor", "labels", "degrees", "table", "unit",
                  "provenance", "_components", "_mul_cache", "_integer_products",
-                 "_substitutions", "_classification", "_serial_digest")
+                 "_substitutions", "_classification", "_serial_digest",
+                 "_division")
 
     def __init__(self, group: FinAbGroup, conductor: int, labels, degrees,
                  table, unit, provenance: str | None = None):
@@ -109,12 +110,15 @@ class GradedAlgebra:
         self._components = {g: tuple(v) for g, v in comps.items()}
         # memo state: identity spaces by degree tuple, the compiled table, the
         # basis elements identity_space substitutes, the structure.classify
-        # report, and the digest behind cache.space_key
+        # report, the digest behind cache.space_key, and what is known of the
+        # grading being a division grading ("yes" once check_graded_division
+        # said so, "quotient" for a coarsening of one; see components_multiply)
         self._mul_cache = {}
         self._integer_products = None
         self._substitutions = None
         self._classification = None
         self._serial_digest = None
+        self._division = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -503,6 +507,22 @@ def _positive_definite(form) -> bool:
             and all(prow[k].sign() > 0 for k, prow in pivots.items()))
 
 
+def known_division(a: GradedAlgebra) -> bool:
+    """Whether `a` is known to be a graded division algebra without a new
+    check: its provenance says "division", or check_graded_division has
+    said "yes" on it."""
+    return bool(a.provenance and "division" in a.provenance) or a._division == "yes"
+
+
+def components_multiply(a: GradedAlgebra) -> bool:
+    """Whether `a` is known to have A_g * A_s = A_gs on its support, with no
+    product of two nonzero homogeneous elements vanishing: it is a known
+    graded division algebra, or a coarsening of one by `quotient_grading`
+    (each coarse component is a sum of fine ones, and the fine components
+    multiply onto each other)."""
+    return a._division == "quotient" or known_division(a)
+
+
 def check_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     """Decide whether every nonzero homogeneous element is invertible.
 
@@ -514,7 +534,7 @@ def check_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     T the signature (1, d - 1), and a degenerate T means A_e is not
     semisimple).  An e-component of dimension other than 1, 2 or 4 is never
     a division algebra (Frobenius).  A "no" carries a non-invertible witness
-    when one is found.
+    when one is found; a "yes" is recorded on the algebra (`known_division`).
     """
     for i in range(a.dim):
         b = a.basis_element(i)
@@ -524,6 +544,7 @@ def check_graded_division(a: GradedAlgebra) -> DivisionVerdict:
     everdict = _e_component_division(a)
     if everdict.verdict != "yes":
         return everdict
+    a._division = "yes"
     return DivisionVerdict(
         "yes", reason="e-component is a division algebra and all basis elements are invertible")
 
@@ -784,8 +805,11 @@ def quotient_grading(a: GradedAlgebra, theta: GroupHom) -> GradedAlgebra:
     """Coarsen the grading through theta; same underlying algebra."""
     if theta.domain != a.group:
         raise PreconditionError("quotient hom domain does not match the grading group")
-    return GradedAlgebra(theta.codomain, a.conductor, a.labels,
-                         tuple(theta(g) for g in a.degrees), a.table, a.unit)
+    out = GradedAlgebra(theta.codomain, a.conductor, a.labels,
+                        tuple(theta(g) for g in a.degrees), a.table, a.unit)
+    if components_multiply(a):
+        out._division = "quotient"
+    return out
 
 
 def regrade(a: GradedAlgebra, iso: GroupHom) -> GradedAlgebra:

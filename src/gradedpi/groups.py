@@ -105,6 +105,11 @@ class GroupElement:
     def is_identity(self) -> bool:
         return all(a == 0 for a in self.exps)
 
+    def __hash__(self):
+        # equality still compares the group; elements of two groups with equal
+        # exponents share a hash but stay unequal
+        return hash(self.exps)
+
     def __lt__(self, other: "GroupElement") -> bool:
         return self.exps < other.exps
 

@@ -158,3 +158,11 @@ def test_lagrange_for_cyclic_subgroups(g):
         s = Subgroup.generated_by(g, [a])
         assert g.order % s.order == 0
         assert s.order == a.order()
+
+
+def test_elements_hash_by_exponents_and_compare_groups():
+    a, b = make_group((2, 2)), make_group((2, 4))
+    x, y = a.element((1, 1)), b.element((1, 1))
+    assert hash(x) == hash(y) == hash((1, 1))
+    assert x != y and len({x, y}) == 2
+    assert {x: 1}.get(a.element((1, 1))) == 1 and {x: 1}.get(y) is None

@@ -31,3 +31,31 @@ def test_every_benchmark_traced_name_resolves():
         if obj is None:
             missing.append(f"{modname}.{path}")
     assert missing == []
+
+
+def test_traced_structure_layers_are_called(monkeypatch):
+    # wrap the names in every loaded gradedpi module, as the benchmark's
+    # tracer does, so that routing the tables past them fails here rather
+    # than reading 0 in the per-layer figures
+    import sys
+
+    from gradedpi import structure
+    from gradedpi.algebras import catalog, catalog_names
+
+    calls = {"bicharacter_table": 0, "classify": 0}
+    for name in calls:
+        original = getattr(structure, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if (modname.split(".")[0] == "gradedpi"
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, wrapper)
+    entries = [(n, ()) for n in catalog_names() if n != "pauli(n,k)"]
+    for name, params in entries + [("pauli", (3, 1))]:
+        structure.classify(catalog(name, *params))
+    assert calls["classify"] == len(entries) + 1
+    assert calls["bicharacter_table"] > 0

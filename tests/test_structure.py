@@ -7,17 +7,24 @@ brute-force identity comparison here and exhaustively in the selftest.
 """
 
 import hashlib
+import importlib.util
 import re
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import gradedpi.algebras as algebras_module
+import gradedpi.structure as structure_module
 from gradedpi.algebras import (GradedAlgebra, TripleSpec, catalog,
-                               check_graded_division, matrix_over_division,
-                               quotient_grading, regrade, tensor_product,
-                               trivially_graded_reals, twisted_group_algebra)
+                               catalog_names, check_graded_division,
+                               components_multiply, known_division,
+                               matrix_over_division, quotient_grading, regrade,
+                               tensor_product, trivially_graded_reals,
+                               twisted_group_algebra)
 from gradedpi.errors import InvariantViolation, PreconditionError
-from gradedpi.groups import Subgroup, make_group, make_hom
+from gradedpi.groups import (Subgroup, is_elementary_2group, make_group,
+                             make_hom, quotient_hom, squares_subgroup)
 from gradedpi.identities import same_identities_up_to
 from gradedpi.scalars import CycloScalar
 from gradedpi.structure import (BicharTable, bicharacter_table,
@@ -26,6 +33,9 @@ from gradedpi.structure import (BicharTable, bicharacter_table,
                                 commuting_support, complex_commutation_factor,
                                 equiv_division, equiv_matrix_over_division,
                                 find_complex_unit, normalize_triple)
+
+
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
 
 
 def elem(a, exps):
@@ -418,6 +428,147 @@ def test_axioms_compare_values_across_conductors():
     assert bad.violations == _reference_violations(t.domain, values)
 
 
+def _benchmark_algebras():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.build_algebras()
+
+
+def _generated_path_cases():
+    """(label, algebra, domain): every catalog entry, pauli(n, k) for n <= 4
+    and the benchmark's algebras, each on its support and its central
+    support, and through the quotient by the squares of a non-elementary
+    support on the quotient's central support."""
+    algs = [(n, catalog(n)) for n in catalog_names() if n != "pauli(n,k)"]
+    algs += [(f"pauli({n},{k})", catalog("pauli", n, k))
+             for n in range(1, 5) for k in range(n) if gcd(k, n) == 1]
+    algs += sorted(_benchmark_algebras().items())
+    cases = []
+    for label, a in algs:
+        if not known_division(a):
+            assert check_graded_division(a).verdict == "yes", label
+        supp = a.support_subgroup()
+        cases += [(label, a, d) for d in (supp, central_support(a)) if d]
+        if not is_elementary_2group(supp):
+            aq = quotient_grading(a, quotient_hom(a.group, squares_subgroup(supp)))
+            qcs = central_support(aq)
+            if qcs is not None:
+                cases.append((f"{label} quotient", aq, qcs))
+    return cases
+
+
+GENERATED_PATH_CASES = _generated_path_cases()
+
+
+@pytest.mark.parametrize("label,a,dom", GENERATED_PATH_CASES,
+                         ids=[f"{c[0]} on {c[2]}" for c in GENERATED_PATH_CASES])
+def test_generated_rows_equal_the_cell_by_cell_table(label, a, dom):
+    # bicharacter_table derives all but (r + 1) rows on these inputs; every
+    # flavor they admit must give the cells, conductors, violations and the
+    # first missing pair of the public one-cell factors
+    assert components_multiply(a)
+    j = find_complex_unit(a)
+    flavors = [("real", None, lambda g, h: commutation_factor(a, g, h))]
+    if j is not None:
+        flavors.append(("complex", j,
+                        lambda g, h: complex_commutation_factor(a, g, h, j)))
+    for flavor, unit, factor in flavors:
+        want, missing = _cell_by_cell(a, dom.elements, factor)
+        if missing is not None:
+            with pytest.raises(PreconditionError) as err:
+                bicharacter_table(a, dom, flavor, unit)
+            assert str(err.value) == ("no commutation factor on the pair "
+                                      f"({missing[0]}, {missing[1]})")
+            continue
+        t = bicharacter_table(a, dom, flavor, unit)
+        assert list(t.values) == list(want)
+        for key, lam in want.items():
+            got = t.values[key]
+            assert got == lam and got.conductor == lam.conductor, key
+        assert (t.flavor, t.unit) == (flavor, unit)
+        assert t.violations == _reference_violations(dom.elements, want)
+
+
+def test_generated_path_cases_cover_every_classify_domain():
+    # M2C_Z4 on its support has a pair without a complex factor
+    cases = {(c[0], c[2]) for c in GENERATED_PATH_CASES}
+    m2c = catalog("M2C_Z4")
+    assert ("M2C_Z4", m2c.support_subgroup()) in cases
+    assert ("M2C_Z4", central_support(m2c)) in cases
+    labels = {c[0] for c in GENERATED_PATH_CASES}
+    assert {"M2C_Z4 quotient", "pauli(4,1) quotient", "H4 x M2_4"} <= labels
+
+
+def _count_measured_cells(monkeypatch):
+    counted = []
+    pair_factor = structure_module._pair_factor
+
+    def counting(pairs, j=None):
+        counted.append(1)
+        return pair_factor(pairs, j)
+
+    monkeypatch.setattr(structure_module, "_pair_factor", counting)
+    return counted
+
+
+def test_only_row_e_and_generator_rows_read_basis_pairs(monkeypatch):
+    counted = _count_measured_cells(monkeypatch)
+    a = catalog("pauli", 4, 1)
+    t = bicharacter_table(a, a.support_subgroup(), "complex",
+                          find_complex_unit(a))
+    assert t.violations == ()
+    assert len(counted) == 3 * 16  # rows e, (0,1) and (1,0) of Z4^2
+
+
+def test_unverified_algebra_is_read_cell_by_cell(monkeypatch):
+    # no label and no recorded verdict: bicharacter_table reads every cell
+    # and runs no division check of its own
+    def forbidden(a):
+        raise AssertionError("check_graded_division called")
+
+    z2 = make_group((2,))
+    m2 = matrix_over_division(TripleSpec(Subgroup.trivial(z2),
+                                         trivially_graded_reals(z2),
+                                         (z2.identity, z2.identity)))
+    assert not known_division(m2) and not components_multiply(m2)
+    monkeypatch.setattr(algebras_module, "check_graded_division", forbidden)
+    monkeypatch.setattr(structure_module, "check_graded_division", forbidden)
+    dom = m2.support_subgroup()
+    want, missing = _cell_by_cell(m2, dom.elements,
+                                  lambda g, h: commutation_factor(m2, g, h))
+    assert missing is not None
+    with pytest.raises(PreconditionError) as err:
+        bicharacter_table(m2, dom)
+    assert str(err.value) == ("no commutation factor on the pair "
+                              f"({missing[0]}, {missing[1]})")
+
+
+def test_a_recorded_verdict_turns_on_generator_rows(monkeypatch):
+    counted = _count_measured_cells(monkeypatch)
+    p = catalog("pauli", 3, 1)
+    bare = GradedAlgebra(p.group, p.conductor, p.labels, p.degrees, p.table,
+                         p.unit)
+    j = find_complex_unit(bare)
+    full = bicharacter_table(bare, bare.support_subgroup(), "complex", j)
+    assert len(counted) == 81
+    assert check_graded_division(bare).verdict == "yes"  # now recorded
+    counted.clear()
+    assert bicharacter_table(bare, bare.support_subgroup(), "complex", j) == full
+    assert len(counted) == 3 * 9
+
+
+def test_quotient_mark_is_not_a_division_verdict():
+    # a quotient grading of a division grading keeps A_g A_s = A_gs but need
+    # not be one itself: the trivial coarsening of M2_4 is M2(R)
+    a = catalog("M2_4")
+    z1 = make_group(())
+    aq = quotient_grading(a, make_hom(a.group, z1, [z1.identity] * 2))
+    assert components_multiply(aq) and not known_division(aq)
+    with pytest.raises(PreconditionError, match="not a graded division"):
+        classify(aq)
+
+
 def test_hall_bicharacter_on_quaternion_e_component():
     a = catalog("M4_4")
     g, h = elem(a, (1, 0)), elem(a, (0, 1))
@@ -766,6 +917,32 @@ def test_normalize_m2c_z4_structure():
     u = out.division.basis_element(1)
     assert u.degree() == g.element((2,))
     assert u * u == -out.division.one()
+
+
+def test_normalize_reuses_the_standard_type_ii_table(monkeypatch):
+    # the standard case reads classify's table on the central support; only
+    # the quotient case builds one on it
+    built = []
+    table = structure_module.bicharacter_table
+
+    def counting(*args, **kwargs):
+        built.append(args[1])
+        return table(*args, **kwargs)
+
+    for name, want in (("H2", 0), ("M2_2", 0), ("M2C_Z4", 1)):
+        spec = wrap(catalog(name))
+        rep = classify(spec.division)
+        monkeypatch.setattr(structure_module, "bicharacter_table", counting)
+        built.clear()
+        out = normalize_triple(spec)
+        monkeypatch.undo()
+        assert len(built) == want, name
+        assert built == [rep.central_support] * want
+        if want == 0:
+            model = out.division
+            assert all(
+                commutation_factor(model, g, h) == rep.bichar.value(g, h)
+                for g in rep.central_support for h in rep.central_support)
 
 
 def test_normalize_type_iii_doubles_the_tuple():
