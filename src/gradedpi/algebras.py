@@ -110,9 +110,8 @@ class GradedAlgebra:
         self._components = {g: tuple(v) for g, v in comps.items()}
         # memo state: identity spaces by degree tuple, the compiled table, the
         # basis elements identity_space substitutes, the structure.classify
-        # report, the digest behind cache.space_key, and what is known of the
-        # grading being a division grading ("yes" once check_graded_division
-        # said so, "quotient" for a coarsening of one; see components_multiply)
+        # report, the digest behind cache.space_key, and the verdict "yes"
+        # once check_graded_division has said so (see known_division)
         self._mul_cache = {}
         self._integer_products = None
         self._substitutions = None
@@ -507,20 +506,16 @@ def _positive_definite(form) -> bool:
             and all(prow[k].sign() > 0 for k, prow in pivots.items()))
 
 
+_DIVISION_MARK = "(division grading)"
+
+
 def known_division(a: GradedAlgebra) -> bool:
     """Whether `a` is known to be a graded division algebra without a new
-    check: its provenance says "division", or check_graded_division has
-    said "yes" on it."""
-    return bool(a.provenance and "division" in a.provenance) or a._division == "yes"
-
-
-def components_multiply(a: GradedAlgebra) -> bool:
-    """Whether `a` is known to have A_g * A_s = A_gs on its support, with no
-    product of two nonzero homogeneous elements vanishing: it is a known
-    graded division algebra, or a coarsening of one by `quotient_grading`
-    (each coarse component is a sum of fine ones, and the fine components
-    multiply onto each other)."""
-    return a._division == "quotient" or known_division(a)
+    check: its provenance ends in the package's _DIVISION_MARK (catalog
+    entries, twisted group algebras and their regradings), or
+    check_graded_division has said "yes" on it."""
+    return (a._division == "yes"
+            or bool(a.provenance and a.provenance.endswith(_DIVISION_MARK)))
 
 
 def check_graded_division(a: GradedAlgebra) -> DivisionVerdict:
@@ -805,11 +800,8 @@ def quotient_grading(a: GradedAlgebra, theta: GroupHom) -> GradedAlgebra:
     """Coarsen the grading through theta; same underlying algebra."""
     if theta.domain != a.group:
         raise PreconditionError("quotient hom domain does not match the grading group")
-    out = GradedAlgebra(theta.codomain, a.conductor, a.labels,
-                        tuple(theta(g) for g in a.degrees), a.table, a.unit)
-    if components_multiply(a):
-        out._division = "quotient"
-    return out
+    return GradedAlgebra(theta.codomain, a.conductor, a.labels,
+                         tuple(theta(g) for g in a.degrees), a.table, a.unit)
 
 
 def regrade(a: GradedAlgebra, iso: GroupHom) -> GradedAlgebra:

@@ -1,12 +1,19 @@
 """Graded polynomials, their evaluation, and multilinear identity spaces.
 
 Identity spaces are computed over the rationals although the algebras are
-real: for a fixed degree tuple the vanishing conditions form a linear system
-with rational coefficients (structure constants are expanded over the power
-basis of the cyclotomic field), so the real solution space is spanned by the
-rational kernel.  That kernel is the annihilator of the system's row space
-(the image of the evaluation map), so comparing canonical rational images
-decides equality of the real identity spaces.
+real: for a fixed degree tuple the vanishing conditions, with structure
+constants expanded over the power basis of the cyclotomic field, form a
+linear system with rational coefficients, and its rational kernel is the
+space of identities with rational coefficients.  That kernel is the
+annihilator of the system's row space (the image of the evaluation map), so
+comparing canonical rational images decides equality of these rational
+identity spaces.  The real identity space is spanned by its rational part
+when it is defined over Q (for example when every structure constant is
+rational), but not in general: for pauli(5,1) at the degrees
+((0,1), (0,1), (1,0)) the real identity with coefficients
+(1, 1 - phi, 1, 1 - phi, 1, 1) in monomial order, phi the golden ratio, has
+no rational multiple, and the rational space has dimension 3 against the
+real 4.  Brute-force verdicts are exact for the rational identities only.
 
 `is_identity` substitutes generic elements (indeterminate real coefficients
 on each component basis) and checks that the expansion vanishes

@@ -12,13 +12,14 @@ and on whether A_e is central:
                           comparison data is taken in the quotient by the
                           subgroup of squares.
 
-In a graded division algebra A_g * A_s = A_gs, so a commutation factor is
-multiplicative in its first argument: row(gs) = row(g) * row(s) cell by cell
-(Bahturin-Sehgal-Zaicev, Group gradings on associative algebras, J. Algebra
-241 (2001); Elduque-Kochetov, Gradings on simple Lie algebras, AMS 2013,
-ch. 2).  `bicharacter_table` therefore measures only row e and the rows of a
-generating set when the algebra is known to be one (or a quotient grading of
-one), and derives the rest.
+In a graded division algebra A_g * A_s = A_gs, so every table above, the
+Hall table of Type III included, is multiplicative in its first argument:
+row(gs) = row(g) * row(s) cell by cell (Bahturin-Sehgal-Zaicev, Group
+gradings on associative algebras, J. Algebra 241 (2001); Elduque-Kochetov,
+Gradings on simple Lie algebras, AMS 2013, ch. 2).  All four types build
+their tables through one builder, `_table`, which measures only row e and
+the rows of a generating set when the algebra is known to be a graded
+division algebra, and derives the rest.
 
 Equivalence of graded identities is decided from these invariants; matrix
 algebras over division gradings reduce to the Type I/IV case by
@@ -32,9 +33,8 @@ from fractions import Fraction
 from math import lcm
 
 from .algebras import (AlgebraElement, GradedAlgebra, TripleSpec,
-                       check_graded_division, components_multiply,
-                       known_division, quotient_grading, regrade,
-                       twisted_group_algebra)
+                       check_graded_division, known_division,
+                       quotient_grading, regrade, twisted_group_algebra)
 from .errors import InvariantViolation, PreconditionError
 from .groups import (CosetDecomposition, GroupElement, GroupHom, Subgroup,
                      is_elementary_2group, quotient_hom, squares_subgroup,
@@ -231,16 +231,20 @@ def find_complex_unit(a: GradedAlgebra):
 class BicharTable:
     """Commutation factors on domain x domain with the bicharacter axioms.
 
-    flavor is "real" or "complex"; complex tables carry the unit used.
+    A table is complex, with respect to the central unit it carries,
+    exactly when it has a unit (`flavor` says "complex" or "real").
     Equality compares domain and values only, so a complex table whose
     values happen to be real equals the corresponding real table.
     """
 
     domain: tuple[GroupElement, ...]
     values: dict
-    flavor: str = "real"
     unit: AlgebraElement | None = None
     violations: tuple[str, ...] = ()
+
+    @property
+    def flavor(self) -> str:
+        return "real" if self.unit is None else "complex"
 
     def value(self, g: GroupElement, h: GroupElement) -> CycloScalar:
         return self.values[(g, h)]
@@ -251,7 +255,7 @@ class BicharTable:
     def conjugate(self) -> "BicharTable":
         return BicharTable(self.domain,
                            {k: v.conjugate() for k, v in self.values.items()},
-                           self.flavor, self.unit, self.violations)
+                           self.unit, self.violations)
 
     def values_equal(self, other: "BicharTable") -> bool:
         if self.domain != other.domain:
@@ -270,58 +274,70 @@ class BicharTable:
         return [[self.values[(g, h)] for h in self.domain] for g in self.domain]
 
     @classmethod
-    def checked(cls, domain, values: dict, flavor: str = "real",
+    def checked(cls, domain, values: dict,
                 unit: AlgebraElement | None = None) -> "BicharTable":
         """The table of `values` on `domain`, with its axiom violations."""
-        return cls(domain, values, flavor, unit,
-                   _axiom_violations(domain, values))
+        return cls(domain, values, unit, _axiom_violations(domain, values))
 
 
-def bicharacter_table(a: GradedAlgebra, domain, flavor: str = "real",
+def bicharacter_table(a: GradedAlgebra, domain,
                       unit: AlgebraElement | None = None) -> BicharTable:
-    """Full commutation-factor table over the domain, axioms checked exactly.
+    """Full commutation-factor table over the domain, axioms checked exactly:
+    real factors, or with a central unit J the complex factors of
+    `complex_commutation_factor`.  Rows are read as `_table` says."""
+    if unit is not None:
+        _validate_complex_unit(a, unit)
+    return _table(a, domain, lambda g: lambda h: _pair_factor(
+        _basis_pairs(a, g, h), unit), unit)
+
+
+def _table(a: GradedAlgebra, domain, measure,
+           unit: AlgebraElement | None = None) -> BicharTable:
+    """The checked table with the factor measure(g)(h) at (g, h);
+    PreconditionError at the first cell without a factor.
 
     Where A_g * A_s = A_gs and no product of nonzero homogeneous elements
-    vanishes, the factor is multiplicative in its first argument: if
-    xy = lambda*yx on A_g x A_h and x'y = mu*yx' on A_s x A_h, then
+    vanishes, a commutation factor is multiplicative in its first argument:
+    if xy = lambda*yx on A_g x A_h and x'y = mu*yx' on A_s x A_h, then
     (xx')y = lambda*mu*y(xx'), and the products xx' span A_gs (BSZ 2001; EK
-    2013, ch. 2).  So when the domain is a Subgroup and the algebra is known
-    to be a graded division algebra (`known_division`: a "division"
-    provenance or a recorded "yes" of check_graded_division) or a quotient
-    grading of one (`components_multiply`), only row e and the rows of
-    greedy generators are read from basis pairs; every other row is a
-    cell-wise product of two earlier ones (`_generated_rows`), with the
-    values, violations and first pair without a factor of the cell-by-cell
-    reading.  Any other input is read cell by cell; no division check is
-    run here.
+    2013, ch. 2).  The Type III Hall factor is multiplicative too: with
+    A_e = H, A = H (x) C for the centralizer C of A_e, whose components c_g
+    are one-dimensional, every Hall product of row g is a real multiple of
+    c_g, so its factor on A_h is that of (c_g, c_h) in C.  So when the
+    domain is a Subgroup and the algebra is a known graded division algebra
+    (`known_division`), measure is asked only for row e and the rows of
+    greedy generators, and every other row is a cell-wise product of two
+    earlier ones (`_generated_rows`), with the values, violations and first
+    pair without a factor of the row-by-row reading.  Any other input has
+    every row measured; no division check is run here.
     """
+    row = lambda g: map(measure(g), dom)
     if isinstance(domain, Subgroup):
         dom = domain.elements
+        if known_division(a):
+            row = _generated_rows(row)
     else:
         dom = tuple(sorted(domain))
-    if flavor not in ("real", "complex"):
-        raise PreconditionError("flavor must be 'real' or 'complex'")
-    if flavor == "complex":
-        if unit is None:
-            raise PreconditionError("complex tables need a complex unit J")
-        _validate_complex_unit(a, unit)
-    j = unit if flavor == "complex" else None
-    row = lambda g: (_pair_factor(_basis_pairs(a, g, h), j) for h in dom)
-    if isinstance(domain, Subgroup) and components_multiply(a):
-        row = _generated_rows(row)
-    return _factor_table(dom, row, flavor, unit)
+    values = {}
+    for g in dom:
+        for h, lam in zip(dom, row(g)):
+            if lam is None:
+                raise PreconditionError(
+                    f"no commutation factor on the pair ({g}, {h})")
+            values[(g, h)] = lam
+    return BicharTable.checked(dom, values, unit)
 
 
 def _generated_rows(measure):
-    """A row function for `_factor_table` on a subgroup domain, which asks
-    for its rows in domain order starting at e.
+    """A row function for `_table` on a subgroup domain, which asks for its
+    rows in domain order starting at e.
 
     A row not derived yet is measured: it is row e or that of the next
     greedy generator s, the least element outside the span S of the earlier
     ones.  Then every row of S*<s> is derived along x, x*s, x*s^2, ... for
     x in S, as row(x*s^k) = row(x*s^(k-1)) * row(s).  A measured row stops
-    at its first missing factor, where `_factor_table` raises; the rows
-    before it are complete, since a row derived from complete rows is.
+    at its first missing factor, where `_table` raises; the rows before it
+    are complete, since a row derived from complete rows is.
     """
     rows: dict = {}
 
@@ -344,19 +360,6 @@ def _generated_rows(measure):
         return cells
 
     return row
-
-
-def _factor_table(dom, row, flavor="real", unit=None) -> BicharTable:
-    """The checked table whose row at g lists the factors row(g) over dom;
-    PreconditionError at the first cell without a factor."""
-    values = {}
-    for g in dom:
-        for h, lam in zip(dom, row(g)):
-            if lam is None:
-                raise PreconditionError(
-                    f"no commutation factor on the pair ({g}, {h})")
-            values[(g, h)] = lam
-    return BicharTable.checked(dom, values, flavor, unit)
 
 
 def _axiom_violations(dom, values) -> tuple[str, ...]:
@@ -437,10 +440,11 @@ def _hall_products(a: GradedAlgebra, g: GroupElement) -> list[AlgebraElement]:
     return out
 
 
-def _hall_factor(products: list[AlgebraElement], hbasis):
-    """The real lambda with p z = lambda z p for every product p and every z
-    in hbasis, or None (the zero rule of `commutation_factor`)."""
-    return _pair_factor((p * z, z * p) for p in products for z in hbasis)
+def _hall_row(a: GradedAlgebra, g: GroupElement):
+    """The Hall factor of g as a function of h, g's products made once."""
+    products = _hall_products(a, g)
+    return lambda h: _pair_factor((p * z, z * p) for p in products
+                                  for z in a.component_basis(h))
 
 
 def bicharacter_via_hall(a: GradedAlgebra, g: GroupElement, h: GroupElement):
@@ -448,19 +452,7 @@ def bicharacter_via_hall(a: GradedAlgebra, g: GroupElement, h: GroupElement):
     ([x,y][x,w] + [x,w][x,y]) over x,w in A_e, y in A_g; None if the
     evaluations all vanish or no single lambda works.
     """
-    return _hall_factor(_hall_products(a, g), a.component_basis(h))
-
-
-def _hall_table(a: GradedAlgebra, domain: Subgroup) -> BicharTable:
-    """bicharacter_via_hall on domain, each row's Hall products made once."""
-    dom = domain.elements
-    bases = {h: a.component_basis(h) for h in dom}
-
-    def row(g):
-        products = _hall_products(a, g)
-        return (_hall_factor(products, bases[h]) for h in dom)
-
-    return _factor_table(dom, row)
+    return _hall_row(a, g)(h)
 
 
 # -- support invariants ------------------------------------------------------
@@ -554,7 +546,8 @@ def _classify(a: GradedAlgebra) -> ClassificationReport:
         return ClassificationReport("I", supp, supp, supp, table,
                                     notes=["regular grading, real e-component"])
     if d_e == 4:
-        table = _table_or_violation(_hall_table, a, supp)
+        table = _table_or_violation(_table, a, supp,
+                                    lambda g: _hall_row(a, g))
         cs = central_support(a)
         return ClassificationReport("III", supp, cs, supp, table,
                                     notes=["quaternion e-component"])
@@ -569,7 +562,7 @@ def _classify(a: GradedAlgebra) -> ClassificationReport:
             raise PreconditionError(
                 "central complex e-component but no constructible complex unit "
                 "(irrational center constants are not handled)")
-        table = _table_or_violation(bicharacter_table, a, supp, "complex", j)
+        table = _table_or_violation(bicharacter_table, a, supp, j)
         if table.is_real():
             return ClassificationReport("I", supp, cs, supp, table, complex_unit=j,
                                         notes=["regular grading, central complex "

@@ -641,11 +641,21 @@ NUMERIC_CASES = [
      [((1, 0),), ((0, 0), (0, 0)), ((1, 0), (0, 1)), ((0, 0), (0, 0), (1, 0)),
       ((0, 1), (0, 1), (1, 0)), ((1, 0), (0, 1), (1, 1)),
       ((1, 1), (1, 1), (1, 1))]),
+    # the real identity with coefficients (1, 1 - phi, 1, 1 - phi, 1, 1),
+    # phi the golden ratio, has no rational multiple: identity_space finds
+    # dimension 3 where the real kernel has dimension 4
+    pytest.param(
+        "pauli(5,1)", lambda: catalog("pauli", 5, 1),
+        lambda: clock_shift_model(5, 1), [((0, 1), (0, 1), (1, 0))],
+        id="pauli(5,1)", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason="identity spaces are computed over Q, and "
+            "the structure constants of pauli(5,1) span Q(sqrt 5)")),
 ]
 
 
 @pytest.mark.parametrize("name,algebra_fn,model_fn,tuples", NUMERIC_CASES,
-                         ids=[c[0] for c in NUMERIC_CASES])
+                         ids=[getattr(c, "id", None) or c[0]
+                              for c in NUMERIC_CASES])
 def test_identity_space_dims_match_numpy_oracle(name, algebra_fn, model_fn,
                                                 tuples):
     a = algebra_fn()

@@ -18,7 +18,7 @@ import gradedpi.algebras as algebras_module
 import gradedpi.structure as structure_module
 from gradedpi.algebras import (GradedAlgebra, TripleSpec, catalog,
                                catalog_names, check_graded_division,
-                               components_multiply, known_division,
+                               known_division,
                                matrix_over_division, quotient_grading, regrade,
                                tensor_product, trivially_graded_reals,
                                twisted_group_algebra)
@@ -36,6 +36,13 @@ from gradedpi.structure import (BicharTable, bicharacter_table,
 
 
 INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+def _benchmark_algebras():
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.build_algebras()
 
 
 def elem(a, exps):
@@ -221,8 +228,8 @@ def test_table_rejects_undefined_pairs():
 def test_pauli_tables_conjugate_pair():
     a, b = catalog("pauli", 3, 1), catalog("pauli", 3, 2)
     ja, jb = find_complex_unit(a), find_complex_unit(b)
-    ta = bicharacter_table(a, a.support_subgroup(), "complex", ja)
-    tb = bicharacter_table(b, b.support_subgroup(), "complex", jb)
+    ta = bicharacter_table(a, a.support_subgroup(), ja)
+    tb = bicharacter_table(b, b.support_subgroup(), jb)
     assert ta.violations == () and tb.violations == ()
     assert not ta.values_equal(tb)
     assert ta.values_equal(tb.conjugate())
@@ -232,11 +239,10 @@ def test_pauli_tables_conjugate_pair():
 def test_complex_table_validates_the_unit():
     a = catalog("pauli", 3, 1)
     with pytest.raises(PreconditionError, match="J\\^2 is not minus the unit"):
-        bicharacter_table(a, a.support_subgroup(), "complex", a.one())
+        bicharacter_table(a, a.support_subgroup(), a.one())
     h4 = catalog("H4")
     with pytest.raises(PreconditionError, match="not central"):
-        bicharacter_table(h4, [h4.group.identity], "complex",
-                          h4.basis_element(1))
+        bicharacter_table(h4, [h4.group.identity], h4.basis_element(1))
 
 
 def _cell_by_cell(a, dom, factor):
@@ -267,9 +273,9 @@ def test_complex_table_equals_the_public_factor_cell_by_cell(name, params):
         if missing is not None:
             pair = re.escape(f"pair ({missing[0]}, {missing[1]})")
             with pytest.raises(PreconditionError, match=pair):
-                bicharacter_table(a, dom, "complex", j)
+                bicharacter_table(a, dom, j)
             continue
-        t = bicharacter_table(a, dom, "complex", j)
+        t = bicharacter_table(a, dom, j)
         assert t.values.keys() == want.keys()
         for key, lam in want.items():
             assert t.values[key] == lam and t.values[key].conductor == lam.conductor
@@ -353,9 +359,9 @@ def test_complex_table_equals_the_reference_cell_by_cell(name, params):
         if missing is not None:
             pair = re.escape(f"pair ({missing[0]}, {missing[1]})")
             with pytest.raises(PreconditionError, match=pair):
-                bicharacter_table(a, dom, "complex", j)
+                bicharacter_table(a, dom, j)
             continue
-        t = bicharacter_table(a, dom, "complex", j)
+        t = bicharacter_table(a, dom, j)
         assert not t.is_real() or name == "M2C_Z4"  # some l2 is nonzero
         assert t.values.keys() == want.keys()
         for key, lam in want.items():
@@ -372,15 +378,52 @@ def test_hall_table_equals_the_reference_cell_by_cell(name):
     assert table.values == want
 
 
-@pytest.mark.parametrize("name", ["M4_4", "quat_trivial"])
-def test_hall_table_equals_the_public_hall_factor_cell_by_cell(name):
-    a = catalog(name)
-    table = classify(a).bichar
-    want, missing = _cell_by_cell(
-        a, table.domain, lambda g, h: bicharacter_via_hall(a, g, h))
-    assert missing is None
-    assert table.values == want
-    assert table.violations == ()
+def _type_iii_on_z2_cubed():
+    # H (x) M2_8: quaternion e-component, support Z2^3
+    m28, quat = catalog("M2_8"), catalog("quat_trivial")
+    z23, z22 = m28.group, quat.group
+    return tensor_product(
+        m28, quat, z23, make_hom(z23, z23, z23.generators()),
+        make_hom(z22, z23, z23.generators()[:2]))
+
+
+def _type_iii_cases():
+    """(label, algebra): every Type III algebra of the catalog and of the
+    benchmark's inputs, and one on Z2^3."""
+    algs = [(n, catalog(n)) for n in catalog_names() if n != "pauli(n,k)"]
+    algs += [(f"benchmark {label}", a)
+             for label, a in sorted(_benchmark_algebras().items())]
+    cases = [(label, a) for label, a in algs
+             if len(a.component(a.group.identity)) == 4]
+    return cases + [("H x M2_8 on Z2^3", _type_iii_on_z2_cubed())]
+
+
+TYPE_III_CASES = _type_iii_cases()
+
+
+@pytest.mark.parametrize("label,a", TYPE_III_CASES,
+                         ids=[c[0] for c in TYPE_III_CASES])
+def test_hall_table_equals_the_public_hall_factor_cell_by_cell(label, a):
+    # classify derives all Hall rows but row e and the generator rows; the
+    # table must have the cells, conductors, violations and first missing
+    # pair of bicharacter_via_hall read cell by cell
+    supp = a.support_subgroup()
+    want, missing = _cell_by_cell(a, supp.elements,
+                                  lambda g, h: bicharacter_via_hall(a, g, h))
+    if missing is not None:
+        with pytest.raises(InvariantViolation) as err:
+            classify(a)
+        assert str(err.value).endswith(
+            f"no commutation factor on the pair ({missing[0]}, {missing[1]})")
+        return
+    rep = classify(a)
+    assert rep.type_tag == "III" and known_division(a)
+    t = rep.bichar
+    assert list(t.values) == list(want)
+    for key, lam in want.items():
+        got = t.values[key]
+        assert got == lam and got.conductor == lam.conductor, key
+    assert t.violations == _reference_violations(supp.elements, want) == ()
 
 
 def _reference_violations(dom, values):
@@ -428,13 +471,6 @@ def test_axioms_compare_values_across_conductors():
     assert bad.violations == _reference_violations(t.domain, values)
 
 
-def _benchmark_algebras():
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", INPUTS)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs.build_algebras()
-
-
 def _generated_path_cases():
     """(label, algebra, domain): every catalog entry, pauli(n, k) for n <= 4
     and the benchmark's algebras, each on its support and its central
@@ -464,10 +500,11 @@ GENERATED_PATH_CASES = _generated_path_cases()
 @pytest.mark.parametrize("label,a,dom", GENERATED_PATH_CASES,
                          ids=[f"{c[0]} on {c[2]}" for c in GENERATED_PATH_CASES])
 def test_generated_rows_equal_the_cell_by_cell_table(label, a, dom):
-    # bicharacter_table derives all but (r + 1) rows on these inputs; every
-    # flavor they admit must give the cells, conductors, violations and the
-    # first missing pair of the public one-cell factors
-    assert components_multiply(a)
+    # bicharacter_table derives all but (r + 1) rows on the division
+    # gradings and reads the quotient gradings row by row; every flavor they
+    # admit must give the cells, conductors, violations and the first
+    # missing pair of the public one-cell factors
+    assert known_division(a) == (not label.endswith(" quotient"))
     j = find_complex_unit(a)
     flavors = [("real", None, lambda g, h: commutation_factor(a, g, h))]
     if j is not None:
@@ -477,11 +514,11 @@ def test_generated_rows_equal_the_cell_by_cell_table(label, a, dom):
         want, missing = _cell_by_cell(a, dom.elements, factor)
         if missing is not None:
             with pytest.raises(PreconditionError) as err:
-                bicharacter_table(a, dom, flavor, unit)
+                bicharacter_table(a, dom, unit)
             assert str(err.value) == ("no commutation factor on the pair "
                                       f"({missing[0]}, {missing[1]})")
             continue
-        t = bicharacter_table(a, dom, flavor, unit)
+        t = bicharacter_table(a, dom, unit)
         assert list(t.values) == list(want)
         for key, lam in want.items():
             got = t.values[key]
@@ -515,8 +552,7 @@ def _count_measured_cells(monkeypatch):
 def test_only_row_e_and_generator_rows_read_basis_pairs(monkeypatch):
     counted = _count_measured_cells(monkeypatch)
     a = catalog("pauli", 4, 1)
-    t = bicharacter_table(a, a.support_subgroup(), "complex",
-                          find_complex_unit(a))
+    t = bicharacter_table(a, a.support_subgroup(), find_complex_unit(a))
     assert t.violations == ()
     assert len(counted) == 3 * 16  # rows e, (0,1) and (1,0) of Z4^2
 
@@ -531,7 +567,7 @@ def test_unverified_algebra_is_read_cell_by_cell(monkeypatch):
     m2 = matrix_over_division(TripleSpec(Subgroup.trivial(z2),
                                          trivially_graded_reals(z2),
                                          (z2.identity, z2.identity)))
-    assert not known_division(m2) and not components_multiply(m2)
+    assert not known_division(m2)
     monkeypatch.setattr(algebras_module, "check_graded_division", forbidden)
     monkeypatch.setattr(structure_module, "check_graded_division", forbidden)
     dom = m2.support_subgroup()
@@ -550,21 +586,21 @@ def test_a_recorded_verdict_turns_on_generator_rows(monkeypatch):
     bare = GradedAlgebra(p.group, p.conductor, p.labels, p.degrees, p.table,
                          p.unit)
     j = find_complex_unit(bare)
-    full = bicharacter_table(bare, bare.support_subgroup(), "complex", j)
+    full = bicharacter_table(bare, bare.support_subgroup(), j)
     assert len(counted) == 81
     assert check_graded_division(bare).verdict == "yes"  # now recorded
     counted.clear()
-    assert bicharacter_table(bare, bare.support_subgroup(), "complex", j) == full
+    assert bicharacter_table(bare, bare.support_subgroup(), j) == full
     assert len(counted) == 3 * 9
 
 
-def test_quotient_mark_is_not_a_division_verdict():
-    # a quotient grading of a division grading keeps A_g A_s = A_gs but need
-    # not be one itself: the trivial coarsening of M2_4 is M2(R)
+def test_a_quotient_grading_is_not_a_known_division_grading():
+    # a coarsening of a division grading need not be one: the trivial
+    # coarsening of M2_4 is M2(R)
     a = catalog("M2_4")
     z1 = make_group(())
     aq = quotient_grading(a, make_hom(a.group, z1, [z1.identity] * 2))
-    assert components_multiply(aq) and not known_division(aq)
+    assert not known_division(aq)
     with pytest.raises(PreconditionError, match="not a graded division"):
         classify(aq)
 
@@ -580,6 +616,31 @@ def test_hall_bicharacter_on_quaternion_e_component():
     assert bicharacter_via_hall(b, e, e) == one
     with pytest.raises(PreconditionError):
         bicharacter_via_hall(catalog("H4"), g, h)  # dim A_e = 1
+
+
+def test_type_iii_cases_cover_the_catalog_and_the_benchmark():
+    assert [c[0] for c in TYPE_III_CASES] == [
+        "M4_4", "quat_trivial", "benchmark M4_4", "benchmark quat_trivial",
+        "H x M2_8 on Z2^3"]
+    assert TYPE_III_CASES[-1][1].support_subgroup().order == 8
+
+
+@pytest.mark.parametrize("a,calls", [(catalog("M4_4"), 3),
+                                     (_type_iii_on_z2_cubed(), 4)],
+                         ids=["M4_4", "Z2^3"])
+def test_hall_products_only_for_row_e_and_generator_rows(monkeypatch, a,
+                                                         calls):
+    rows = []
+    hall_products = structure_module._hall_products
+
+    def counting(a, g):
+        rows.append(g)
+        return hall_products(a, g)
+
+    monkeypatch.setattr(structure_module, "_hall_products", counting)
+    assert classify(a).type_tag == "III"
+    assert len(rows) == calls
+    assert rows[0] == a.group.identity
 
 
 # -- supports -------------------------------------------------------------------
@@ -655,6 +716,56 @@ def test_classify_rejects_non_division():
                       (g.identity, g.element((1,))))
     with pytest.raises(PreconditionError):
         classify(matrix_over_division(spec))
+
+
+def test_a_provenance_is_trusted_only_with_the_package_marker():
+    # M2(R), trivially graded by Z2, is no graded division algebra
+    z2 = make_group((2,))
+    m2 = matrix_over_division(TripleSpec(Subgroup.trivial(z2),
+                                         trivially_graded_reals(z2),
+                                         (z2.identity, z2.identity)))
+    m2.provenance = "my division guess"
+    assert not known_division(m2)
+    with pytest.raises(PreconditionError,
+                       match="not a graded division algebra"):
+        classify(m2)
+
+
+def test_every_division_provenance_of_the_package_ends_in_the_marker():
+    # so that trusting only the marker moves no catalog or benchmark input
+    algs = [catalog(n) for n in catalog_names() if n != "pauli(n,k)"]
+    algs += [catalog("pauli", n, k) for n in range(1, 5) for k in range(n)
+             if gcd(k, n) == 1]
+    algs += _benchmark_algebras().values()
+    for a in algs:
+        said = bool(a.provenance and "division" in a.provenance)
+        assert known_division(a) == said, a.provenance
+
+
+def _greedy_rows(dom):
+    """1 + the number of greedy generators of the subgroup `dom`."""
+    rows, span = 1, {dom[0]}
+    for g in dom:
+        if g not in span:
+            rows += 1
+            span = set(Subgroup.generated_by(g.group, [*span, g]).elements)
+    return rows
+
+
+# Types I-IV: every catalog entry and two Type IV Pauli gradings
+CLASSIFY_CASES = [(n, ()) for n in sorted(TYPE_TAGS)] + [("pauli", (3, 1)),
+                                                         ("pauli", (4, 1))]
+
+
+@pytest.mark.parametrize("name,params", CLASSIFY_CASES,
+                         ids=[n if not p else f"pauli({p[0]},{p[1]})"
+                              for n, p in CLASSIFY_CASES])
+def test_classify_measures_only_row_e_and_generator_rows(monkeypatch, name,
+                                                         params):
+    counted = _count_measured_cells(monkeypatch)
+    rep = classify(catalog(name, *params))
+    table = rep.bichar if rep.quotient is None else rep.quotient.bichar
+    assert len(counted) == _greedy_rows(table.domain) * len(table.domain)
 
 
 # -- pinned answers ------------------------------------------------------------------
