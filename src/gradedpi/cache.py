@@ -2,11 +2,13 @@
 
 A cache entry stores the image of the multilinear evaluation map (the
 canonical row space whose annihilator is the identity space) for one
-(algebra, degree tuple) pair.  Keys hash the payload format, the algebra's
-canonical serialization and the degree tuple, so equal inputs share entries
-across processes and entries of another format are plain misses.  Writes go
-through a temporary file and an atomic rename; corrupt or unreadable entries
-count as misses and are reported on stderr.
+(algebra, degree tuple) pair, in reduced row echelon form with rational
+entries; a read converts it back to the space's primitive integer rows.
+Keys hash the payload format, the algebra's canonical serialization and the
+degree tuple, so equal inputs share entries across processes and entries of
+another format are plain misses.  Writes go through a temporary file and an
+atomic rename; corrupt or unreadable entries count as misses and are
+reported on stderr.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from fractions import Fraction
 
 from .algebras import GradedAlgebra
 from .identities import IdentitySpace, identity_space
+from .scalars import integer_row
 from .specfile import canonical_serialization
 
 ENV_CACHE_DIR = "GRADEDPI_CACHE_DIR"
@@ -99,7 +102,8 @@ def space_from_payload(payload: dict, degrees) -> IdentitySpace:
         raise ValueError("column count does not match the degree tuple")
     rows = [tuple(Fraction(s) for s in row) for row in payload["image"]]
     _check_canonical(rows, ncols)
-    return IdentitySpace(degrees, rows)
+    # each row has a leading 1, so clearing denominators leaves it primitive
+    return IdentitySpace(degrees, [tuple(integer_row(row)) for row in rows])
 
 
 def _entry_path(directory: str, key: str) -> str:

@@ -27,12 +27,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .algebras import AlgebraElement, GradedAlgebra
 from .errors import (InadmissibleSubstitution, InvariantViolation,
                      PolynomialSyntaxError, PreconditionError)
 from .groups import FinAbGroup, GroupElement, GroupHom
-from .scalars import CycloScalar, RowReducer
+from .scalars import CycloScalar, RowReducer, rational_rows
 from .specfile import _Parser, _tokenize
 
 
@@ -296,19 +297,24 @@ def monomial_order(n: int) -> tuple[tuple[int, ...], ...]:
 class IdentitySpace:
     """Multilinear identities at a fixed degree tuple, held by their image.
 
-    image rows span the row space of the evaluation map over the lex-ordered
-    permutation monomials, in canonical reduced row echelon form; the
-    identities are the vectors orthogonal to every image row.  Two spaces at
-    tuples of the same length agree exactly when their images do.  kernel,
-    the identities' own canonical basis, is computed on first use.
+    rows span the row space of the evaluation map over the lex-ordered
+    permutation monomials: in pivot order, each the primitive integer row
+    with a positive pivot, that is, a reduced row echelon row times a
+    positive integer.  That form is as canonical as the echelon form itself,
+    so two spaces at tuples of the same length agree exactly when their rows
+    do, and equality, hashing and membership run on ints.  The identities
+    are the vectors orthogonal to every row.  image, the Fraction reduced row
+    echelon form, and kernel, the identities' own canonical basis, are
+    computed on first use.
     """
 
-    __slots__ = ("degrees", "ncols", "image", "_kernel")
+    __slots__ = ("degrees", "ncols", "rows", "_image", "_kernel")
 
-    def __init__(self, degrees: tuple[GroupElement, ...], image):
+    def __init__(self, degrees: tuple[GroupElement, ...], rows):
         self.degrees = tuple(degrees)
         self.ncols = math.factorial(len(self.degrees))
-        self.image = tuple(image)
+        self.rows = tuple(rows)
+        self._image = None
         self._kernel = None
 
     @property
@@ -317,14 +323,21 @@ class IdentitySpace:
 
     @property
     def dimension(self) -> int:
-        return self.ncols - len(self.image)
+        return self.ncols - len(self.rows)
+
+    @property
+    def image(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The image in canonical reduced row echelon form, as Fractions."""
+        if self._image is None:
+            self._image = tuple(rational_rows(self.rows))
+        return self._image
 
     @property
     def kernel(self) -> tuple[tuple[Fraction, ...], ...]:
         """The identities' basis in canonical reduced row echelon form."""
         if self._kernel is None:
             reducer = RowReducer(self.ncols)
-            for row in self.image:
+            for row in self.rows:
                 reducer.add(row)
             self._kernel = tuple(reducer.nullspace_rows())
         return self._kernel
@@ -335,7 +348,7 @@ class IdentitySpace:
     def contains_vector(self, vec) -> bool:
         """Is vec (over the monomials) orthogonal to every image row?"""
         return not any(sum(x * y for x, y in zip(row, vec) if x)
-                       for row in self.image)
+                       for row in self.rows)
 
     def coefficient_vector(self, f: GradedPolynomial) -> list[Fraction]:
         """Coefficients of f over the permutation monomials of this space."""
@@ -371,10 +384,10 @@ class IdentitySpace:
     def __eq__(self, other):
         if not isinstance(other, IdentitySpace):
             return NotImplemented
-        return self.nvars == other.nvars and self.image == other.image
+        return self.nvars == other.nvars and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.nvars, self.image))
+        return hash((self.nvars, self.rows))
 
     def __repr__(self):
         return f"IdentitySpace({self.degrees}, dim {self.dimension})"
@@ -456,6 +469,11 @@ def identity_space(a: GradedAlgebra, degrees) -> IdentitySpace:
     substitution with u, and b is never substituted (`_substitution_basis`).
     On a Pauli or complex grading, where A_e holds a central i, this halves
     the substitutions per variable; the image is unchanged.
+
+    The computation runs on integers throughout: words are multiplied on
+    the integer table, each output coordinate of a substitution gives one
+    integer row, assembled column by column from the word vectors, and the
+    space keeps the reducer's primitive integer pivot rows.
     """
     degrees = tuple(degrees)
     if not degrees:
@@ -478,27 +496,31 @@ def identity_space(a: GradedAlgebra, degrees) -> IdentitySpace:
         # nonzero factor, so the row space does not change.
         perms = monomial_order(len(degrees))
         ncols = len(perms)
+        # each speller maps a substitution to its word under one permutation;
+        # a one-variable substitution is its own word
+        spellers = [itemgetter(*perm) for perm in perms] if ncols > 1 else [tuple]
         products = a.integer_products()
         words: dict = {}
+        known = words.get
         # a row equal to one added before is already in the row space
         added: set = set()
         reducer = RowReducer(ncols)
         for sub in itertools.product(*comps):
-            rows: dict = {}
-            for ci, perm in enumerate(perms):
-                vec = _word_product(products, words, tuple(sub[p] for p in perm))
-                for w, q in vec.items():
-                    row = rows.get(w)
-                    if row is None:
-                        row = rows[w] = [0] * ncols
-                    row[ci] = q
-            for row in map(tuple, rows.values()):
+            cols = []
+            for spell in spellers:
+                word = spell(sub)
+                vec = known(word)
+                if vec is None:
+                    vec = _word_product(products, words, word)
+                cols.append(vec)
+            for w in set().union(*cols):
+                row = tuple([col.get(w, 0) for col in cols])
                 if row not in added:
                     added.add(row)
                     reducer.add(row)
             if reducer.rank == ncols:
                 break
-        space = IdentitySpace(degrees, reducer.sorted_rows())
+        space = IdentitySpace(degrees, reducer.integer_rows())
     a._mul_cache[degrees] = space
     return space
 

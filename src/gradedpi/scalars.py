@@ -607,8 +607,12 @@ def field_solve(rows, unknowns: int) -> list[CycloScalar] | None:
     return x
 
 
-def _integer_row(row) -> list[int]:
-    # A row of ints or Fractions, scaled by the lcm of its denominators.
+def integer_row(row) -> list[int]:
+    """A row of ints or Fractions, scaled by the lcm of its denominators.
+
+    For a row with a leading 1, such as a reduced row echelon row, this is
+    its primitive integer multiple with a positive pivot.
+    """
     den = 1
     for v in row:
         d = v.denominator
@@ -625,6 +629,19 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g < 2 else [v // g for v in row]
 
 
+def rational_rows(rows) -> list[tuple[Fraction, ...]]:
+    """Each nonzero row divided by its leading entry, as Fractions.
+
+    On the pivot rows of an echelon form kept as integer multiples this is
+    the canonical reduced row echelon form.
+    """
+    out = []
+    for row in rows:
+        p = next(filter(None, row))
+        out.append(tuple(Fraction(v, p) if v else _ZERO for v in row))
+    return out
+
+
 class RowReducer:
     """Incremental reduced row echelon form over Q, computed over the integers.
 
@@ -632,9 +649,10 @@ class RowReducer:
     as a primitive integer row with a zero in every other pivot column, that
     is, as an integer multiple of the corresponding row of the reduced row
     echelon form; elimination is fraction-free (cross-multiplication by the
-    pivot, in the spirit of Bareiss).  Rows become Fractions only in
-    `sorted_rows` and `nullspace_rows`, which return the canonical reduced
-    row echelon form.
+    pivot, in the spirit of Bareiss).  `integer_rows` returns these pivot
+    rows with positive pivots, which is as canonical as the reduced row
+    echelon form and needs no Fraction; `sorted_rows` and `nullspace_rows`
+    return the reduced row echelon form itself, as Fractions.
     """
 
     def __init__(self, width: int):
@@ -651,7 +669,7 @@ class RowReducer:
         It is zero exactly when `row` lies in the row space; its entries are
         otherwise an integer multiple of the exact rational residue.
         """
-        row = _integer_row(row)
+        row = integer_row(row)
         for c, prow in self.pivots.items():
             f = row[c]
             if f:
@@ -680,13 +698,17 @@ class RowReducer:
         self.pivots[lead] = row
         return True
 
+    def integer_rows(self) -> list[tuple[int, ...]]:
+        """The pivot rows in pivot order, each primitive with a positive pivot.
+
+        Row i is the i-th reduced row echelon row times a positive integer,
+        so equal row spaces give equal lists.
+        """
+        return [tuple(prow) if prow[c] > 0 else tuple([-v for v in prow])
+                for c, prow in sorted(self.pivots.items())]
+
     def sorted_rows(self) -> list[tuple[Fraction, ...]]:
-        out = []
-        for c in sorted(self.pivots):
-            prow = self.pivots[c]
-            p = prow[c]
-            out.append(tuple(Fraction(v, p) if v else _ZERO for v in prow))
-        return out
+        return rational_rows(self.pivots[c] for c in sorted(self.pivots))
 
     def nullspace_rows(self) -> list[tuple[Fraction, ...]]:
         final = RowReducer(self.width)

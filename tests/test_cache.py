@@ -12,7 +12,7 @@ from gradedpi.algebras import catalog, catalog_names
 from gradedpi.cache import (ENV_CACHE_DIR, CacheEntry, cache_get, cache_put,
                             cached_identity_space, default_cache_dir,
                             serialize_space, space_from_payload, space_key)
-from gradedpi.identities import identity_space
+from gradedpi.identities import IdentitySpace, identity_space
 from gradedpi.specfile import canonical_serialization
 
 
@@ -92,6 +92,31 @@ def test_serialize_space_round_trip_is_exact(tmp_path):
     # byte-identical reserialization
     assert json.dumps(serialize_space(back), sort_keys=True) == \
         json.dumps(payload, sort_keys=True)
+
+
+@pytest.mark.parametrize("params,exps", [
+    (("pauli", 3, 1), ((1, 0), (0, 1), (2, 2))),
+    (("M2C_Z4",), ((1,), (1,), (2,))),
+    (("M4_4",), ((0, 0), (1, 0), (1, 1))),
+], ids=["pauli(3,1)", "M2C_Z4", "M4_4"])
+def test_payload_round_trip_restores_integer_rows(params, exps):
+    # a Pauli, a complex and a Type III grading
+    a = catalog(*params)
+    degs = degrees_of(a, *exps)
+    space = identity_space(a, degs)
+    back = space_from_payload(serialize_space(space), degs)
+    assert back.rows == space.rows
+    assert all(type(v) is int for row in back.rows for v in row)
+
+
+def test_payload_round_trip_clears_denominators():
+    # catalog images have entries in {-1, 0, 1}; this one has fractions
+    a = catalog("H4")
+    degs = degrees_of(a, (0, 0), (1, 0), (0, 1))
+    space = IdentitySpace(degs, [(2, 1, 0, 0, -3, 0), (0, 0, 3, 0, 1, 0)])
+    payload = serialize_space(space)
+    assert payload["image"][0][:2] == ["1", "1/2"]
+    assert space_from_payload(payload, degs).rows == space.rows
 
 
 def test_cache_put_get_round_trip(tmp_path):

@@ -404,9 +404,62 @@ def test_image_matches_element_product_reference(params, exps):
     a = catalog(*params)
     degrees = tuple(a.group.element(x) for x in exps)
     want = _reference_image(a, degrees)
-    assert identity_space(a, degrees).image == want
+    space = identity_space(a, degrees)
+    assert space.image == want
+    _assert_canonical_integer_rows(space.rows)
     if params == ("quat_trivial",):
         assert len(want) == math.factorial(len(degrees))
+
+
+def _assert_canonical_integer_rows(rows):
+    """rows are ints, primitive, with positive pivots in reduced echelon form."""
+    leads = []
+    for row in rows:
+        assert all(type(v) is int for v in row)
+        lead = next(j for j, v in enumerate(row) if v)
+        assert row[lead] > 0 and math.gcd(*row) == 1
+        leads.append(lead)
+    assert all(x < y for x, y in zip(leads, leads[1:]))
+    assert all(sum(1 for row in rows if row[c]) == 1 for c in leads)
+
+
+def _count_fractions(monkeypatch) -> list:
+    """From now on, record the arguments of every Fraction constructed."""
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    # later Pythons build arithmetic results without calling __new__
+    if "_from_coprime_ints" in vars(Fraction):
+        coprime = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, n, d: made.append((n, d)) or coprime(n, d)))
+    return made
+
+
+def test_brute_force_builds_no_fraction(monkeypatch):
+    # identity spaces and an equal comparison stay on integers from the
+    # first product to the final equality test
+    algs = [catalog("pauli", 3, 1), catalog("M4_4"), catalog("H4"),
+            catalog("M2C_Z4")]
+    h4, m2_4 = catalog("H4"), catalog("M2_4")
+    for a in algs + [h4, m2_4]:
+        a.integer_products()
+        _substitution_basis(a)
+    made = _count_fractions(monkeypatch)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and made
+    made.clear()
+    for a in algs:
+        for size in range(1, 4):
+            for ms in itertools.combinations_with_replacement(
+                    sorted(a.support()), size):
+                identity_space(a, ms)
+    assert same_identities_up_to(h4, m2_4, 3).equal
+    assert made == []
 
 
 # sha256 over repr((degrees, image)) for every ordered tuple of support
@@ -576,7 +629,7 @@ def test_unequal_spaces_without_a_witness_are_an_invariant_violation():
     # the same row space, but not in canonical form: unequal, yet every
     # identity of either space is an identity of the other
     a._mul_cache[degrees] = IdentitySpace(
-        degrees, [tuple(2 * x for x in row) for row in good.image])
+        degrees, [tuple(2 * x for x in row) for row in good.rows])
     with pytest.raises(InvariantViolation, match="neither lacks"):
         same_identities_up_to(a, b, 2)
 

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from gradedpi.errors import PreconditionError
 from gradedpi.scalars import (CycloScalar, RowReducer, cyclotomic_polynomial,
-                              field_pivots, field_solve,
-                              sqrt_of_rational_in_field, totient)
+                              field_pivots, field_solve, integer_row,
+                              rational_rows, sqrt_of_rational_in_field,
+                              totient)
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 12]
 
@@ -487,6 +488,14 @@ def test_rref_canonical_form():
     assert red.rank == 2
 
 
+def test_integer_rows_are_primitive_with_positive_pivots():
+    red = reducer_of([[-2, 1, 0], [0, 0, -3]], 3)
+    assert red.integer_rows() == [(2, -1, 0), (0, 0, 1)]
+    assert rational_rows(red.integer_rows()) == red.sorted_rows()
+    # clearing the denominators of a row with a leading 1 undoes the division
+    assert [tuple(integer_row(r)) for r in red.sorted_rows()] == red.integer_rows()
+
+
 def test_nullspace_annihilates():
     rows = [[1, 2, 3], [4, 5, 6]]
     ns = reducer_of(rows, 3).nullspace_rows()
@@ -577,6 +586,8 @@ def test_row_reducer_matches_fraction_gauss_jordan(data):
         red.add(r)
     rref, pivots = _reference_rref(rows, width)
     assert red.sorted_rows() == rref
+    assert rational_rows(red.integer_rows()) == rref
+    assert [tuple(integer_row(r)) for r in rref] == red.integer_rows()
     assert red.rank == len(pivots)
     assert red.nullspace_rows() == _reference_nullspace(rows, width)
     probe = data.draw(row)
