@@ -120,7 +120,13 @@ class GroupElement:
 
 
 class Subgroup:
-    """A subgroup of a FinAbGroup, stored as its sorted element tuple."""
+    """A subgroup of a FinAbGroup, stored as its sorted element tuple.
+
+    A set S is a subgroup exactly when it holds e and S*s lies in S for each
+    s of a generating set of S; closure is checked that way, along the
+    greedy `span_walk` of the sorted elements, at fewer than 2|S| products.
+    A rejection names a product x*g with x, g in S and x*g outside S.
+    """
 
     __slots__ = ("parent", "elements", "_set")
 
@@ -128,19 +134,20 @@ class Subgroup:
         elems = sorted(set(elements))
         if not elems:
             raise PreconditionError("subgroup cannot be empty")
-        eset = set(elems)
         for g in elems:
             if g.group != parent:
                 raise PreconditionError("subgroup element from wrong group")
-            if g.inverse() not in eset:
-                raise PreconditionError(f"subgroup not closed under inverse at {g}")
-        for g in elems:
-            for h in elems:
-                if g * h not in eset:
-                    raise PreconditionError(f"subgroup not closed at {g}*{h}")
+        eset = frozenset(elems)
+        for x, s, y in span_walk(elems):
+            if y not in eset:
+                raise PreconditionError(f"subgroup not closed at {x}*{s}")
+        if parent.identity not in eset:
+            # S holds its whole span but e, so g^-1 for its least g
+            g = elems[0]
+            raise PreconditionError(f"subgroup not closed at {g.inverse()}*{g}")
         self.parent = parent
         self.elements = tuple(elems)
-        self._set = frozenset(elems)
+        self._set = eset
 
     @classmethod
     def generated_by(cls, parent: FinAbGroup, generators) -> "Subgroup":
@@ -148,8 +155,8 @@ class Subgroup:
         for g in generators:
             if g.group != parent:
                 raise PreconditionError("generator from wrong group")
-        return cls(parent, _closure(lambda x, y: x * y, parent.identity,
-                                    generators))
+        return cls(parent, [parent.identity]
+                   + [y for _, _, y in span_walk(generators)])
 
     @classmethod
     def trivial(cls, parent: FinAbGroup) -> "Subgroup":
@@ -293,6 +300,43 @@ class CosetDecomposition:
 
 def cosets(group: FinAbGroup, subgroup: Subgroup) -> CosetDecomposition:
     return CosetDecomposition(group, subgroup)
+
+
+def span_walk(elements):
+    """The greedy walk over the span of `elements`, all of one group.
+
+    The span S starts at {e}.  The next generator s is the first element,
+    in the given order, outside S; the walk then reaches S*<s> coset chain
+    by coset chain: for each x in S, in the order reached, x*s, x*s^2, ...
+    until the chain returns into S.  Chains from distinct x run through
+    distinct cosets of S or distinct points of one, so none meets another.
+    Yields (x, s, y) with y = x*s once for each element y != e it reaches,
+    x being None at the generator itself (y = s), which opens its chains.
+    So the generators come in the given order, one product is made per
+    element reached and one more to close each chain (fewer than twice the
+    order of the span in all), and a caller may stop at the first y it
+    rejects.
+    """
+    reached = spanned = None
+    for s in elements:
+        if spanned is None:
+            reached = [s.group.identity]
+            spanned = set(reached)
+        if s in spanned:
+            continue
+        for i in range(len(reached)):
+            if i:
+                prev, y = reached[i], reached[i] * s
+            else:
+                yield None, s, s
+                spanned.add(s)
+                reached.append(s)
+                prev, y = s, s * s
+            while y not in spanned:
+                yield prev, s, y
+                spanned.add(y)
+                reached.append(y)
+                prev, y = y, y * s
 
 
 def _order_in(elems_mul, g, identity):

@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import itemgetter
 
 from .algebras import AlgebraElement, GradedAlgebra
@@ -289,9 +290,20 @@ def is_identity(f: GradedPolynomial, a: GradedAlgebra) -> bool:
 # -- multilinear identity spaces ------------------------------------------
 
 
+@cache
 def monomial_order(n: int) -> tuple[tuple[int, ...], ...]:
     """Column order for multilinear spaces: permutations of 0..n-1, lex."""
     return tuple(sorted(itertools.permutations(range(n))))
+
+
+@cache
+def _spellers(n: int) -> tuple:
+    """One function per column of `monomial_order(n)`, mapping a substitution
+    to its word under that permutation; a one-variable substitution is its
+    own word."""
+    if n == 1:
+        return (tuple,)
+    return tuple(itemgetter(*perm) for perm in monomial_order(n))
 
 
 class IdentitySpace:
@@ -494,11 +506,8 @@ def identity_space(a: GradedAlgebra, degrees) -> IdentitySpace:
         # Words are evaluated on the integer table, which scales each word of
         # length n by scale^(n-1): every row below is scaled by that same
         # nonzero factor, so the row space does not change.
-        perms = monomial_order(len(degrees))
-        ncols = len(perms)
-        # each speller maps a substitution to its word under one permutation;
-        # a one-variable substitution is its own word
-        spellers = [itemgetter(*perm) for perm in perms] if ncols > 1 else [tuple]
+        spellers = _spellers(len(degrees))
+        ncols = len(spellers)
         products = a.integer_products()
         words: dict = {}
         known = words.get

@@ -1,5 +1,7 @@
 """Finite abelian groups, subgroups, homs, quotients."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from gradedpi.errors import PreconditionError
 from gradedpi.groups import (FinAbGroup, Subgroup, cosets,
                              is_elementary_2group, make_group, make_hom,
-                             quotient_hom, squares_subgroup,
+                             quotient_hom, span_walk, squares_subgroup,
                              subgroup_as_group)
 
 GROUPS = [make_group(o) for o in [(2,), (4,), (2, 2), (3, 3), (2, 4), (2, 2, 2)]]
@@ -56,6 +58,70 @@ def test_subgroup_generation_and_membership():
     assert g.element((2,)) in s and g.element((1,)) not in s
     assert Subgroup.trivial(g).order == 1
     assert Subgroup.full(g).order == 4
+
+
+CLOSURE_GROUPS = [make_group(o) for o in [(4, 2), (3, 3), (2, 2, 2)]]
+NOT_CLOSED = re.compile(r"subgroup not closed at (\([\d,]*\))\*(\([\d,]*\))")
+
+
+def _element_from_text(g, text):
+    return g.element(int(k) for k in text[1:-1].split(","))
+
+
+@st.composite
+def _subsets(draw, g):
+    # a random subset, or a generated subgroup with a few elements toggled:
+    # random subsets alone are rarely subgroups
+    elems = st.sampled_from(g.elements())
+    if draw(st.booleans()):
+        return draw(st.sets(elems, min_size=1))
+    s = set(Subgroup.generated_by(g, draw(st.lists(elems, max_size=3))))
+    for x in draw(st.lists(elems, max_size=2)):
+        s ^= {x}
+    return s or {g.identity}
+
+
+@pytest.mark.parametrize("g", CLOSURE_GROUPS, ids=repr)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_subgroup_accepts_exactly_the_closed_subsets(g, data):
+    # the walk along greedy generators against the closure of all n^2
+    # products; a rejection names a product of two members that leaves S
+    s = data.draw(_subsets(g))
+    closed = all(x * y in s for x in s for y in s)
+    try:
+        sub = Subgroup(g, s)
+    except PreconditionError as err:
+        assert not closed
+        found = NOT_CLOSED.fullmatch(str(err))
+        assert found, str(err)
+        x, y = (_element_from_text(g, t) for t in found.groups())
+        assert x in s and y in s and x * y not in s
+    else:
+        assert closed and set(sub) == s and sub.elements == tuple(sorted(s))
+
+
+def test_subgroup_without_the_identity_names_an_inverse_product():
+    g = make_group((4,))
+    s = set(Subgroup.full(g)) - {g.identity}
+    with pytest.raises(PreconditionError,
+                       match=re.escape("not closed at (3)*(1)")):
+        Subgroup(g, s)
+    with pytest.raises(PreconditionError, match="cannot be empty"):
+        Subgroup(g, ())
+
+
+def test_span_walk_reaches_each_element_of_the_span_once():
+    g = make_group((4, 2))
+    elems = [g.element(x) for x in [(0, 0), (2, 0), (1, 1), (3, 1), (1, 0)]]
+    steps = list(span_walk(elems))
+    # (3,1) = (1,1)^3 is spanned by then; (1,0) is not
+    assert [s for x, s, y in steps if x is None] == [elems[1], elems[2],
+                                                     elems[4]]
+    assert all(y == s if x is None else y == x * s for x, s, y in steps)
+    reached = [y for _, _, y in steps]
+    assert len(reached) == len(set(reached)) == g.order - 1
+    assert g.identity not in reached and list(span_walk([])) == []
 
 
 def test_subgroup_lattice_ops():

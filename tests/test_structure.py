@@ -471,6 +471,117 @@ def test_axioms_compare_values_across_conductors():
     assert bad.violations == _reference_violations(t.domain, values)
 
 
+def test_identity_row_must_be_all_ones():
+    # on {e} there is no generator, so only the row-e check sees that
+    # beta(e, e) = -1 is skew symmetric but not multiplicative
+    g = make_group((2,))
+    e, s = g.identity, g.element((1,))
+    minus = -CycloScalar.one(1)
+    values = {(e, e): minus}
+    bad = BicharTable.checked((e,), values)
+    assert bad.violations == ("multiplicativity fails at ((0), (0); (0))",)
+    assert bad.violations == _reference_violations((e,), values)
+    # on Z2, row(e) = -1 with row(s) = i: the generator's own product
+    # row(s*s) = row(s) * row(s) agrees, every product through e fails
+    i = CycloScalar.root_of_unity(4, 1, 4)
+    values = {(e, e): minus, (e, s): minus, (s, e): i, (s, s): i}
+    bad = BicharTable.checked((e, s), values)
+    assert "multiplicativity fails at ((1), (1); (0))" not in bad.violations
+    assert "multiplicativity fails at ((0), (1); (1))" in bad.violations
+    assert bad.violations == _reference_violations((e, s), values)
+
+
+def _table_from_rows(dom, rows):
+    return {(g, h): CycloScalar.coerce(v, 1)
+            for g, row in zip(dom, rows) for h, v in zip(dom, row)}
+
+
+def test_generator_check_closes_each_chain():
+    # on Z3, beta(s, s) = -1 with row(s^2) = row(s)^2 is skew symmetric and
+    # agrees on the walk's one derived row, but row(s) * row(s^2) is not
+    # row(e): the check must take s^2 * s as well
+    z3 = make_group((3,))
+    dom = z3.elements()
+    values = _table_from_rows(dom, [(1, 1, 1), (1, -1, 1), (1, 1, 1)])
+    bad = BicharTable.checked(dom, values)
+    assert "multiplicativity fails at ((1), (2); (1))" in bad.violations
+    assert bad.violations == _reference_violations(dom, values)
+
+
+def _distinct(values):
+    out = []
+    for v in values:
+        if all(v != w for w in out):
+            out.append(v)
+    return out
+
+
+def _corrupted_tables(t):
+    """Every cell of t set to each other value t takes and to +-1, and every
+    symmetric pair of cells off the diagonal negated together (skew
+    symmetry holds, multiplicativity fails)."""
+    one = CycloScalar.one(1)
+    takes = _distinct([*t.values.values(), one, -one])
+    for key, v in t.values.items():
+        for w in takes:
+            if w != v:
+                yield {**t.values, key: w}
+    for r, g in enumerate(t.domain):
+        for h in t.domain[r + 1:]:
+            yield {**t.values, (g, h): -t.values[(g, h)],
+                   (h, g): -t.values[(h, g)]}
+
+
+def _classified(label):
+    if label == "pauli(3,1)":
+        return classify(catalog("pauli", 3, 1)).bichar
+    if label == "H4 x H4":
+        return classify(_benchmark_algebras()["H4 x H4"]).bichar
+    return classify(catalog(label)).bichar
+
+
+@pytest.mark.parametrize("label", ["H4", "pauli(3,1)", "M2_8", "H4 x H4"])
+def test_corrupted_tables_report_the_cell_by_cell_violations(label):
+    # the generator check must send every corrupted table to the full scan
+    t = _classified(label)
+    assert t.violations == ()
+    cases = list(_corrupted_tables(t))
+    n = len(t.domain)
+    assert len(cases) >= n * n + n * (n - 1) // 2
+    for values in cases:
+        got = BicharTable.checked(t.domain, values).violations
+        assert got, values
+        assert got == _reference_violations(t.domain, values)
+
+
+def test_axioms_on_a_domain_that_is_not_a_subgroup():
+    # (0,1)*(1,0) leaves the first domain and the second lacks e, so only
+    # products inside each are checked, by the full scan; negating one cell
+    # need not break them: beta((0,1), (0,1)) = -1 still squares to 1
+    t = classify(catalog("H4")).bichar
+    for dom in (t.domain[:3], t.domain[1:]):
+        values = {(x, y): t.values[(x, y)] for x in dom for y in dom}
+        assert BicharTable.checked(dom, values).violations == ()
+        found = 0
+        for key, v in values.items():
+            bad = {**values, key: -v}
+            got = BicharTable.checked(dom, bad).violations
+            assert got == _reference_violations(dom, bad)
+            found += bool(got)
+        assert found
+    # in Z5, (e, s, s^2, s^4) passes skew symmetry and every product with
+    # its generator s, yet row(s^2)^2 is not row(s^4); only the full scan
+    # over the domain's own products sees it
+    z5 = make_group((5,))
+    e, s1, s2, s4 = (z5.element((k,)) for k in (0, 1, 2, 4))
+    dom = (e, s1, s2, s4)
+    values = _table_from_rows(dom, [(1, 1, 1, 1), (1, -1, 1, -1),
+                                    (1, 1, 1, 1), (1, -1, 1, -1)])
+    bad = BicharTable.checked(dom, values)
+    assert "multiplicativity fails at ((2), (2); (1))" in bad.violations
+    assert bad.violations == _reference_violations(dom, values)
+
+
 def _generated_path_cases():
     """(label, algebra, domain): every catalog entry, pauli(n, k) for n <= 4
     and the benchmark's algebras, each on its support and its central
@@ -658,6 +769,24 @@ def test_commuting_and_central_supports():
 
     h4 = catalog("H4")
     assert central_support(h4) == h4.support_subgroup()
+
+
+def test_central_support_is_none_off_a_subgroup():
+    # M2(R) + R[u]/(u^2), u of degree g in Z2: A_e = M2(R) + R*f does not
+    # commute with itself, u commutes with all of A_e, so the commuting
+    # support is {g}, which lacks e = g*g
+    z2 = make_group((2,))
+    e, g = z2.identity, z2.element((1,))
+    table = {(2 * r + c, 2 * c + k): ((2 * r + k, 1),)
+             for r in range(2) for c in range(2) for k in range(2)}
+    table.update({(4, 4): ((4, 1),), (4, 5): ((5, 1),), (5, 4): ((5, 1),)})
+    a = GradedAlgebra(z2, 1, ("e11", "e12", "e21", "e22", "f", "u"),
+                      (e,) * 5 + (g,), table, {0: 1, 3: 1, 4: 1})
+    assert commuting_support(a) == (g,)
+    assert central_support(a) is None
+    with pytest.raises(PreconditionError,
+                       match=re.escape("subgroup not closed at (1)*(1)")):
+        Subgroup(z2, commuting_support(a))
 
 
 # -- classification --------------------------------------------------------------
