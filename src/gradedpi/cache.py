@@ -2,13 +2,17 @@
 
 A cache entry stores the image of the multilinear evaluation map (the
 canonical row space whose annihilator is the identity space) for one
-(algebra, degree tuple) pair, in reduced row echelon form with rational
-entries; a read converts it back to the space's primitive integer rows.
-Keys hash the payload format, the algebra's canonical serialization and the
-degree tuple, so equal inputs share entries across processes and entries of
-another format are plain misses.  Writes go through a temporary file and an
-atomic rename; corrupt or unreadable entries count as misses and are
-reported on stderr.
+(algebra, degree tuple) pair, as the space's primitive integer rows in
+pivot order, with a sha256 checksum over the format, the degree tuple, the
+column count and the rows (payload format 3).  A read takes only JSON ints,
+checks that the rows are in that canonical form and that the checksum
+matches, and hands them to the space unchanged.  Keys hash the payload
+format, the algebra's canonical serialization and the degree tuple, so equal
+inputs share entries across processes and entries of older formats are
+plain misses, never read.  Writes go through a temporary file and an atomic
+rename; corrupt or unreadable entries, a payload whose checksum does not
+match included, count as misses, are reported on stderr and are recomputed
+and overwritten.
 """
 
 from __future__ import annotations
@@ -20,15 +24,13 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebras import GradedAlgebra
 from .identities import IdentitySpace, identity_space
-from .scalars import integer_row
 from .specfile import canonical_serialization
 
 ENV_CACHE_DIR = "GRADEDPI_CACHE_DIR"
-PAYLOAD_FORMAT = 2
+PAYLOAD_FORMAT = 3
 
 
 def default_cache_dir() -> str:
@@ -47,7 +49,7 @@ class CacheEntry:
 
 
 def _algebra_digest(a: GradedAlgebra) -> str:
-    # serialising is slow (every constant is reduced), so once per algebra
+    # serialising reduces every distinct constant, so once per algebra
     if a._serial_digest is None:
         a._serial_digest = hashlib.sha256(
             canonical_serialization(a).encode("utf-8")).hexdigest()
@@ -60,50 +62,71 @@ def space_key(a: GradedAlgebra, degrees) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _checksum(degrees, ncols: int, rows) -> str:
+    text = json.dumps([PAYLOAD_FORMAT, degrees, ncols, rows],
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def serialize_space(space: IdentitySpace) -> dict:
+    degrees = [list(g.exps) for g in space.degrees]
+    rows = [list(row) for row in space.rows]
     return {
         "format": PAYLOAD_FORMAT,
-        "degrees": [list(g.exps) for g in space.degrees],
+        "degrees": degrees,
         "ncols": space.ncols,
-        "image": [[str(q) for q in row] for row in space.image],
+        "rows": rows,
+        "sha256": _checksum(degrees, space.ncols, rows),
     }
 
 
-def _check_canonical(rows, ncols: int):
-    """Raise ValueError unless rows are a reduced row echelon form."""
-    pivots = []
+def _canonical_rows(rows, ncols: int) -> list[tuple[int, ...]]:
+    """rows as int tuples; ValueError unless they are IdentitySpace rows:
+    primitive int rows with positive pivots in strictly increasing columns,
+    each pivot column zero in the other rows."""
+    out, pivots = [], []
     for row in rows:
         if len(row) != ncols:
             raise ValueError("ragged image row")
+        if set(map(type, row)) != {int}:
+            raise ValueError("image entry is not an int")
         lead = next((j for j, v in enumerate(row) if v), None)
-        if lead is None or row[lead] != 1:
-            raise ValueError("image row without a leading 1")
+        if lead is None:
+            raise ValueError("zero image row")
+        if row[lead] < 0:
+            raise ValueError("image pivot is not positive")
+        if math.gcd(*row) != 1:
+            raise ValueError("image row is not primitive")
         if pivots and lead <= pivots[-1]:
             raise ValueError("image pivots are not strictly increasing")
         pivots.append(lead)
-    if any(sum(1 for row in rows if row[c]) != 1 for c in pivots):
+        out.append(tuple(row))
+    if any(sum(1 for row in out if row[c]) != 1 for c in pivots):
         raise ValueError("image pivot column is not zero in another row")
+    return out
 
 
 def space_from_payload(payload: dict, degrees) -> IdentitySpace:
     """The identity space stored in payload for the requested degree tuple.
 
     Raises ValueError (or KeyError, TypeError) when the payload has another
-    format, another degree tuple, or an image that is not in canonical form.
+    format, another degree tuple, rows that are not in canonical form, or a
+    checksum that does not match.
     """
     if payload["format"] != PAYLOAD_FORMAT:
         raise ValueError(f"payload format {payload['format']!r} is not "
                          f"{PAYLOAD_FORMAT}")
     degrees = tuple(degrees)
-    if [list(g.exps) for g in degrees] != payload["degrees"]:
+    exps = [list(g.exps) for g in degrees]
+    if exps != payload["degrees"]:
         raise ValueError("payload degrees differ from the requested tuple")
-    ncols = int(payload["ncols"])
+    ncols = payload["ncols"]
     if ncols != math.factorial(len(degrees)):
         raise ValueError("column count does not match the degree tuple")
-    rows = [tuple(Fraction(s) for s in row) for row in payload["image"]]
-    _check_canonical(rows, ncols)
-    # each row has a leading 1, so clearing denominators leaves it primitive
-    return IdentitySpace(degrees, [tuple(integer_row(row)) for row in rows])
+    rows = _canonical_rows(payload["rows"], ncols)
+    if payload["sha256"] != _checksum(exps, ncols, payload["rows"]):
+        raise ValueError("payload checksum mismatch")
+    return IdentitySpace(degrees, rows)
 
 
 def _entry_path(directory: str, key: str) -> str:
@@ -159,7 +182,7 @@ def cached_identity_space(a: GradedAlgebra, degrees,
     if entry is not None:
         try:
             space = space_from_payload(entry.value, degrees)
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as err:
+        except (ValueError, KeyError, TypeError) as err:
             print(f"gradedpi: ignoring corrupt cache entry {key[:12]}...: {err}",
                   file=sys.stderr)
         else:

@@ -13,6 +13,7 @@ invariant violations (including a structural/brute disagreement under
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -21,7 +22,7 @@ import time
 
 from .algebras import (GradedAlgebra, TripleSpec, catalog_names,
                        matrix_over_division, validate)
-from .cache import cached_identity_space, default_cache_dir
+from .cache import ENV_CACHE_DIR, cached_identity_space
 from .errors import (GradedPIError, InvariantViolation, PolynomialSyntaxError,
                      PreconditionError, SpecFormatError)
 from .identities import (identity_space, is_identity, parse_polynomial,
@@ -340,7 +341,10 @@ def cmd_selftest(args, json_mode: bool) -> tuple[dict, int]:
 # -- entry point ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps its results in a fresh
+    # Namespace and leaves the parser as it was
     ap = argparse.ArgumentParser(
         prog="gradedpi",
         description="Graded polynomial identities of real graded division "
@@ -350,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--no-cache", action="store_true",
                     help="disable the persistent identity-space cache")
     ap.add_argument("--cache-dir", default=None,
-                    help=f"cache directory (default {default_cache_dir()})")
+                    help=f"cache directory (default ${ENV_CACHE_DIR}, else "
+                         "$XDG_CACHE_HOME/gradedpi or ~/.cache/gradedpi)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("classify", help="Type I-IV report for a division grading")

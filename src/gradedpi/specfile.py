@@ -630,20 +630,30 @@ def _coefficient_text(c: CycloScalar) -> str:
 
 
 def serialize_algebra(a: GradedAlgebra) -> str:
-    """Canonical base-format text; deterministic for equal algebras."""
+    """Canonical base-format text; deterministic for equal algebras.
+
+    An algebra has few distinct constants, so each is formatted (and
+    reduced) once: equal values at one conductor have equal (num, den).
+    """
     labels = _safe_labels(a.labels)
+    texts = {}
+
+    def term(c: CycloScalar, k: int) -> str:
+        key = (c.conductor, c.num, c.den)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _coefficient_text(c)
+        return f"{text}*{labels[k]}"
+
     lines = [f"group {format_group(a.group)}",
              f"conductor {a.conductor}",
              "basis " + " ".join(labels)]
     for i, lab in enumerate(labels):
         lines.append(f"deg {lab} = {format_element(a.degrees[i])}")
     for (i, j) in sorted(a.table):
-        entries = a.table[(i, j)]
-        rhs = " + ".join(f"{_coefficient_text(c)}*{labels[k]}"
-                         for k, c in entries)
+        rhs = " + ".join(term(c, k) for k, c in a.table[(i, j)])
         lines.append(f"mul {labels[i]} {labels[j]} = {rhs}")
-    unit_rhs = " + ".join(f"{_coefficient_text(c)}*{labels[k]}"
-                          for k, c in sorted(a.unit.items()))
+    unit_rhs = " + ".join(term(c, k) for k, c in sorted(a.unit.items()))
     lines.append(f"unit = {unit_rhs}")
     return "\n".join(lines) + "\n"
 

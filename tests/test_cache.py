@@ -1,19 +1,24 @@
 """Persistent identity-space cache: keys, round trips, corruption handling."""
 
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
+from fractions import Fraction
 
 import pytest
 
-from gradedpi import cache
+from gradedpi import cache, specfile
 from gradedpi.algebras import catalog, catalog_names
-from gradedpi.cache import (ENV_CACHE_DIR, CacheEntry, cache_get, cache_put,
-                            cached_identity_space, default_cache_dir,
-                            serialize_space, space_from_payload, space_key)
+from gradedpi.cache import (ENV_CACHE_DIR, PAYLOAD_FORMAT, CacheEntry,
+                            cache_get, cache_put, cached_identity_space,
+                            default_cache_dir, serialize_space,
+                            space_from_payload, space_key)
+from gradedpi.cache import _checksum as checksum
 from gradedpi.identities import IdentitySpace, identity_space
 from gradedpi.specfile import canonical_serialization
+from test_identities import _count_fractions
 
 
 def degrees_of(a, *exps):
@@ -45,6 +50,7 @@ SERIALIZATION_DIGESTS = {
     "M4_4": "133b52550e8313238dfd9d18743b64035c579e09ce4840f273aacafbb9153b91",
     "quat_trivial": "e38902112b8ddb3f50d79c6b1ea28077a713fac113885e828d5273d41f6cc93b",
     "pauli(3,1)": "3b48c2f069568df426307e756e45365fe1c7e527ce4e023db0e7672105c435ae",
+    "pauli(4,1)": "d75e8be323ed6278601391f2090bf00f87ba4310213c177d9d64ed5c25346ab2",
     "pauli(4,3)": "fbadc3e9c91178935934247ed4f95d3243d1b64e3c214f6dfb2a3b7da0d022c8",
     "pauli(5,1)": "2fbb3f10645d0ffbf23b0a42f7a5da5b7c78381a24b24d93a2bb340176b4929e",
 }
@@ -62,6 +68,25 @@ def test_canonical_serialization_is_pinned(name):
     else:
         a = catalog(name)
     text = canonical_serialization(a)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        SERIALIZATION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("params,name", [
+    (("M4_4",), "M4_4"), (("pauli", 4, 1), "pauli(4,1)")])
+def test_serialization_formats_each_distinct_constant_once(monkeypatch,
+                                                           params, name):
+    a = catalog(*params)
+    constants = [c for entries in a.table.values() for _, c in entries]
+    constants += a.unit.values()
+    calls = []
+    real = specfile.format_scalar
+    monkeypatch.setattr(specfile, "format_scalar",
+                        lambda s: calls.append(s) or real(s))
+    text = canonical_serialization(a)
+    assert len(calls) == len({(c.conductor, c.num, c.den)
+                              for c in constants}) < len(constants)
+    assert len(set(calls)) == len(calls)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         SERIALIZATION_DIGESTS[name]
 
@@ -110,12 +135,14 @@ def test_payload_round_trip_restores_integer_rows(params, exps):
 
 
 def test_payload_round_trip_clears_denominators():
-    # catalog images have entries in {-1, 0, 1}; this one has fractions
+    # catalog images have entries in {-1, 0, 1}; this one has fractions in
+    # its echelon form, and the payload holds the rows with them cleared
     a = catalog("H4")
     degs = degrees_of(a, (0, 0), (1, 0), (0, 1))
     space = IdentitySpace(degs, [(2, 1, 0, 0, -3, 0), (0, 0, 3, 0, 1, 0)])
+    assert space.image[0][:2] == (1, Fraction(1, 2))
     payload = serialize_space(space)
-    assert payload["image"][0][:2] == ["1", "1/2"]
+    assert payload["rows"] == [[2, 1, 0, 0, -3, 0], [0, 0, 3, 0, 1, 0]]
     assert space_from_payload(payload, degs).rows == space.rows
 
 
@@ -215,14 +242,67 @@ def test_cached_identity_space_hits_disk_then_memory(tmp_path):
     assert cached_identity_space(b, degs, directory=d) is s2
 
 
-def assert_entry_is_replaced(d, degs, payload, capsys):
-    """A payload planted for H4 at degs is reported as corrupt, recomputed
-    and overwritten."""
+def test_warm_read_builds_no_fraction(tmp_path, monkeypatch):
+    # a payload goes from JSON ints to the space's rows without a Fraction
+    d = str(tmp_path)
+    params = [("H4",), ("M4_4",), ("pauli", 3, 1), ("M2C_Z4",)]
+
+    def tuples(a):
+        return [degs for size in range(1, 4) for degs in
+                itertools.combinations_with_replacement(sorted(a.support()),
+                                                        size)]
+
+    cold = {}
+    for p in params:
+        a = catalog(*p)
+        cold[p] = [cached_identity_space(a, degs, directory=d)
+                   for degs in tuples(a)]
+    fresh = {p: catalog(*p) for p in params}
+    for b in fresh.values():
+        cache._algebra_digest(b)  # the key's text prints rationals as Fractions
+    monkeypatch.setattr(cache, "identity_space", None)  # every read must hit
+    made = _count_fractions(monkeypatch)
+    warm = {p: [cached_identity_space(b, degs, directory=d)
+                for degs in tuples(b)] for p, b in fresh.items()}
+    assert made == []
+    assert warm == cold
+
+
+def test_entry_of_an_older_format_is_never_read(tmp_path, monkeypatch, capsys):
+    d = str(tmp_path)
+    a = catalog("H4")
+    degs = degrees_of(a, (1, 0), (0, 1))
+    space = identity_space(a, degs)
+    with monkeypatch.context() as m:
+        m.setattr(cache, "PAYLOAD_FORMAT", 2)
+        old_key = space_key(a, degs)
+    old = {"format": 2, "degrees": [[1, 0], [0, 1]], "ncols": 2,
+           "image": [[str(q) for q in row] for row in space.image]}
+    cache_put(old_key, old, directory=d)
+    old_path = os.path.join(d, old_key + ".json")
+    old_text = open(old_path).read()
+    asked = []
+    real_get = cache.cache_get
+    monkeypatch.setattr(cache, "cache_get",
+                        lambda key, directory=None:
+                        asked.append(key) or real_get(key, directory))
+    assert cached_identity_space(catalog("H4"), degs, directory=d) == space
+    assert old_key not in asked and asked == [space_key(a, degs)]
+    assert "corrupt" not in capsys.readouterr().err
+    assert open(old_path).read() == old_text
+    assert sorted(os.listdir(d)) == sorted([old_key + ".json",
+                                            asked[0] + ".json"])
+
+
+def assert_entry_is_replaced(d, degs, payload, capsys, reason="corrupt"):
+    """A payload planted for H4 at degs is reported as corrupt (for reason),
+    recomputed and overwritten."""
     a = catalog("H4")
     key = space_key(a, degs)
     cache_put(key, payload, directory=d)
     s = cached_identity_space(a, degs, directory=d)
-    assert "corrupt" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "corrupt" in err and reason in err, err
     assert s == identity_space(catalog("H4"), degs)  # computed afresh
     entry = cache_get(key, directory=d)
     assert space_from_payload(entry.value, degs) == s
@@ -235,8 +315,9 @@ def h4_degrees(*exps):
 def test_bad_payload_shape_is_corruption(tmp_path, capsys):
     assert_entry_is_replaced(
         str(tmp_path), h4_degrees((0, 0), (0, 0)),
-        {"format": 2, "degrees": [[0, 0], [0, 0]], "ncols": 99,
-         "image": [["1"]]}, capsys)
+        {"format": PAYLOAD_FORMAT, "degrees": [[0, 0], [0, 0]], "ncols": 99,
+         "rows": [[1]], "sha256": checksum([[0, 0], [0, 0]], 99, [[1]])},
+        capsys, "column count")
 
 
 def test_payload_of_another_format_is_corruption(tmp_path, capsys):
@@ -250,23 +331,47 @@ def test_payload_for_another_degree_tuple_is_corruption(tmp_path, capsys):
     degs = h4_degrees((1, 0), (0, 1))
     other = h4_degrees((1, 0), (1, 0))  # same length, other identities
     payload = serialize_space(identity_space(catalog("H4"), other))
-    assert payload["image"] != \
-        serialize_space(identity_space(catalog("H4"), degs))["image"]
-    assert_entry_is_replaced(str(tmp_path), degs, payload, capsys)
+    assert payload["rows"] != \
+        serialize_space(identity_space(catalog("H4"), degs))["rows"]
+    assert_entry_is_replaced(str(tmp_path), degs, payload, capsys,
+                             "payload degrees")
 
 
-@pytest.mark.parametrize("image", [
-    [["2", "-2"]],              # leading entry not 1
-    [["0", "0"]],               # zero row, no leading entry
-    [["0", "1"], ["1", "0"]],   # pivot columns not increasing
-    [["1", "1"], ["0", "1"]],   # pivot column nonzero in another row
-    [["1", "-1", "0"]],         # ragged row
-], ids=["lead", "zero-row", "order", "pivot-column", "ragged"])
-def test_non_canonical_image_is_corruption(tmp_path, capsys, image):
-    payload = {"format": 2, "degrees": [[1, 0], [0, 1]], "ncols": 2,
-               "image": image}
+def test_canonical_image_with_a_wrong_checksum_is_corruption(tmp_path, capsys):
+    # the rows of another tuple are canonical; only the checksum, taken over
+    # the degrees they were written for, tells that they are not these
+    degs = h4_degrees((1, 0), (0, 1))
+    other = h4_degrees((1, 0), (1, 0))
+    payload = serialize_space(identity_space(catalog("H4"), other))
+    payload["degrees"] = [[1, 0], [0, 1]]
+    assert space_from_payload(
+        {**payload, "sha256": checksum(payload["degrees"], 2,
+                                       payload["rows"])}, degs) != \
+        identity_space(catalog("H4"), degs)
+    assert_entry_is_replaced(str(tmp_path), degs, payload, capsys,
+                             "checksum mismatch")
+
+
+@pytest.mark.parametrize("rows,reason", [
+    ([[2, -2]], "not primitive"),
+    ([[0, 0]], "zero image row"),
+    ([[0, 1], [1, 0]], "not strictly increasing"),
+    ([[1, 1], [0, 1]], "pivot column"),
+    ([[1, -1, 0]], "ragged"),
+    ([[1, 0], [0, 3]], "not primitive"),
+    ([[-1, 1]], "pivot is not positive"),
+    ([["1", 0]], "not an int"),
+    ([[1.0, 0]], "not an int"),
+    ([[True, 0]], "not an int"),
+], ids=["lead", "zero-row", "order", "pivot-column", "ragged",
+        "non-primitive", "negative-pivot", "str", "float", "bool"])
+def test_non_canonical_image_is_corruption(tmp_path, capsys, rows, reason):
+    # a matching checksum, so that only the canonical-form check rejects it
+    degrees = [[1, 0], [0, 1]]
+    payload = {"format": PAYLOAD_FORMAT, "degrees": degrees, "ncols": 2,
+               "rows": rows, "sha256": checksum(degrees, 2, rows)}
     assert_entry_is_replaced(str(tmp_path), h4_degrees((1, 0), (0, 1)),
-                             payload, capsys)
+                             payload, capsys, reason)
 
 
 def test_env_var_controls_default_dir(monkeypatch, tmp_path):

@@ -240,3 +240,49 @@ def test_selftest_json_carries_per_pair_seconds(capsys, cache_args):
             "normalize M4_4", "normalize quat_trivial"]
     assert sections["catalog validation"]["pairs"] == []
     assert all(p["seconds"] >= 0 for s in sections.values() for p in s["pairs"])
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, capsys):
+    d = str(tmp_path / "cache")
+    run(["catalog", "list"], capsys)
+
+    classify = ["--cache-dir", d, "classify", "catalog:H4"]
+    code, out, _ = run(["--json"] + classify, capsys)
+    assert code == 0 and json.loads(out)["report"]["type"] == "I"
+    code, out, err = run(classify, capsys)
+    assert code == 0 and out.startswith("command: classify\n")
+    assert "type: I\n" in out and "time:" in err
+
+    idspace = ["--cache-dir", d, "idspace", "catalog:H4",
+               "--tuple", "(1,0),(0,1)"]
+    code, uncached, _ = run(["--no-cache"] + idspace, capsys)
+    assert code == 0 and not os.path.exists(d)
+    code, cached, _ = run(idspace, capsys)
+    assert code == 0 and cached == uncached and os.listdir(d)
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--json", "equiv", "--max-degree", "3", "--mode", "nope",
+                  "catalog:H4", "catalog:M2_4"])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    pair = ["catalog:H4", "catalog:M2_4"]
+    code, out, _ = run(["--cache-dir", d, "--json", "equiv", "--mode",
+                        "structural"] + pair, capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["mode"] == "structural" and "brute" not in doc
+    code, out, _ = run(["--cache-dir", d, "equiv", "--max-degree", "2"] + pair,
+                       capsys)
+    assert code == 0 and "mode: both\n" in out and "max_degree: 2\n" in out
+    # one parser served every call
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_cache_dir_help_names_the_variable(tmp_path, capsys, monkeypatch):
+    helps = []
+    for name in ("first", "second"):
+        monkeypatch.setenv("GRADEDPI_CACHE_DIR", str(tmp_path / name))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert "$GRADEDPI_CACHE_DIR" in helps[0] and str(tmp_path) not in helps[0]
