@@ -23,11 +23,10 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from .algebras import GradedAlgebra
 from .identities import IdentitySpace, identity_space
-from .specfile import canonical_serialization
+from .specfile import serialize_algebra
 
 ENV_CACHE_DIR = "GRADEDPI_CACHE_DIR"
 PAYLOAD_FORMAT = 3
@@ -42,17 +41,11 @@ def default_cache_dir() -> str:
     return os.path.join(base, "gradedpi")
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: str
-    value: dict
-
-
 def _algebra_digest(a: GradedAlgebra) -> str:
     # serialising reduces every distinct constant, so once per algebra
     if a._serial_digest is None:
         a._serial_digest = hashlib.sha256(
-            canonical_serialization(a).encode("utf-8")).hexdigest()
+            serialize_algebra(a).encode("utf-8")).hexdigest()
     return a._serial_digest
 
 
@@ -133,7 +126,8 @@ def _entry_path(directory: str, key: str) -> str:
     return os.path.join(directory, key + ".json")
 
 
-def cache_get(key: str, directory: str | None = None) -> CacheEntry | None:
+def cache_get(key: str, directory: str | None = None) -> dict | None:
+    """The payload stored under key, or None for a missing or corrupt entry."""
     directory = directory or default_cache_dir()
     path = _entry_path(directory, key)
     try:
@@ -141,9 +135,11 @@ def cache_get(key: str, directory: str | None = None) -> CacheEntry | None:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("entry is not a JSON object")
-        if data.get("key") != key or "value" not in data:
+        if data.get("key") != key:
             raise ValueError("key mismatch")
-        return CacheEntry(key, data["value"])
+        if not isinstance(data.get("value"), dict):
+            raise ValueError("entry value is not a JSON object")
+        return data["value"]
     except FileNotFoundError:
         return None
     except (OSError, ValueError, KeyError) as err:
@@ -152,7 +148,7 @@ def cache_get(key: str, directory: str | None = None) -> CacheEntry | None:
         return None
 
 
-def cache_put(key: str, value: dict, directory: str | None = None) -> CacheEntry:
+def cache_put(key: str, value: dict, directory: str | None = None) -> None:
     directory = directory or default_cache_dir()
     os.makedirs(directory, exist_ok=True)
     payload = json.dumps({"key": key, "value": value}, sort_keys=True)
@@ -167,7 +163,6 @@ def cache_put(key: str, value: dict, directory: str | None = None) -> CacheEntry
         except OSError:
             pass
         raise
-    return CacheEntry(key, value)
 
 
 def cached_identity_space(a: GradedAlgebra, degrees,
@@ -178,10 +173,10 @@ def cached_identity_space(a: GradedAlgebra, degrees,
     if hit is not None:
         return hit
     key = space_key(a, degrees)
-    entry = cache_get(key, directory)
-    if entry is not None:
+    payload = cache_get(key, directory)
+    if payload is not None:
         try:
-            space = space_from_payload(entry.value, degrees)
+            space = space_from_payload(payload, degrees)
         except (ValueError, KeyError, TypeError) as err:
             print(f"gradedpi: ignoring corrupt cache entry {key[:12]}...: {err}",
                   file=sys.stderr)

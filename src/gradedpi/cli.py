@@ -21,7 +21,7 @@ import sys
 import time
 
 from .algebras import (GradedAlgebra, TripleSpec, catalog_names,
-                       matrix_over_division, validate)
+                       matrix_over_division)
 from .cache import ENV_CACHE_DIR, cached_identity_space
 from .errors import (GradedPIError, InvariantViolation, PolynomialSyntaxError,
                      PreconditionError, SpecFormatError)
@@ -47,20 +47,8 @@ def load_ref(text: str) -> GradedAlgebra:
     if text.startswith("catalog:"):
         return parse_algebra(f"catalog({text[len('catalog:'):]})")
     if text.startswith("file:"):
-        a = load_algebra_file(text[len("file:"):])
-        _validate_loaded(a, text)
-        return a
-    a = parse_algebra(text)
-    if text.lstrip().startswith(("group", "basis")):
-        _validate_loaded(a, "<inline>")
-    return a
-
-
-def _validate_loaded(a: GradedAlgebra, ref: str):
-    rep = validate(a)
-    if not rep.ok:
-        raise PreconditionError(
-            f"{ref}: algebra table is inconsistent: {rep.failures[0]}")
+        return load_algebra_file(text[len("file:"):])
+    return parse_algebra(text)
 
 
 def load_triple_ref(text: str) -> TripleSpec:

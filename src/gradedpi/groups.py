@@ -126,9 +126,13 @@ class Subgroup:
     s of a generating set of S; closure is checked that way, along the
     greedy `span_walk` of the sorted elements, at fewer than 2|S| products.
     A rejection names a product x*g with x, g in S and x*g outside S.
+    The walk is kept as `walk`, the tuple of its (x, s, x*s) steps: the
+    steps with x None give the greedy generators, and each element of S
+    but e is reached exactly once, so bicharacter tables on S and the
+    quotient by S (`quotient_hom`) read it instead of walking S again.
     """
 
-    __slots__ = ("parent", "elements", "_set")
+    __slots__ = ("parent", "elements", "walk", "_set")
 
     def __init__(self, parent: FinAbGroup, elements):
         elems = sorted(set(elements))
@@ -138,15 +142,18 @@ class Subgroup:
             if g.group != parent:
                 raise PreconditionError("subgroup element from wrong group")
         eset = frozenset(elems)
+        walk = []
         for x, s, y in span_walk(elems):
             if y not in eset:
                 raise PreconditionError(f"subgroup not closed at {x}*{s}")
+            walk.append((x, s, y))
         if parent.identity not in eset:
             # S holds its whole span but e, so g^-1 for its least g
             g = elems[0]
             raise PreconditionError(f"subgroup not closed at {g.inverse()}*{g}")
         self.parent = parent
         self.elements = tuple(elems)
+        self.walk = tuple(walk)
         self._set = eset
 
     @classmethod
@@ -339,43 +346,22 @@ def span_walk(elements):
                 prev, y = y, y * s
 
 
-def _order_in(elems_mul, g, identity):
-    k, cur = 1, g
-    while cur != identity:
-        cur = elems_mul(cur, g)
-        k += 1
-    return k
-
-
-def _closure(mul, identity, gens):
-    out = {identity}
-    frontier = list(gens)
-    changed = True
-    while changed:
-        changed = False
-        for x in list(out):
-            for g in frontier:
-                p = mul(x, g)
-                if p not in out:
-                    out.add(p)
-                    changed = True
-    return out
-
-
-def decompose_abelian(elements, mul, identity, prefer_first=None):
+def decompose_abelian(elements, span, prefer_first=None):
     """Cyclic decomposition of an explicit finite abelian group.
 
-    Returns (orders, generators) with the group equal to the direct product of
-    the cyclic subgroups the generators span, orders listed in the chosen
+    `span(gens)` returns the set of elements of the group that `gens`
+    generate; an element's order is the size of its own span.  Returns
+    (orders, generators) with the group equal to the direct product of the
+    cyclic subgroups the generators span, orders listed in the chosen
     order.  Deterministic: maximal-order generator first (ties by canonical
-    element order), complement chosen as the closure with minimal sorted
+    element order), complement chosen as the span with minimal sorted
     element tuple.  `prefer_first` forces a particular first generator (it
     must have maximal order).
     """
     elems = sorted(elements)
     if len(elems) == 1:
         return [], []
-    orders = {g: _order_in(mul, g, identity) for g in elems}
+    orders = {g: len(span([g])) for g in elems}
     max_ord = max(orders.values())
     if prefer_first is not None:
         g1 = prefer_first
@@ -386,17 +372,17 @@ def decompose_abelian(elements, mul, identity, prefer_first=None):
     n1 = orders[g1]
     if n1 == len(elems):
         return [n1], [g1]
-    cyc = _closure(mul, identity, [g1])
+    cyc = span([g1])
     target = len(elems) // n1
-    # search complements among closures of small generator sets
+    # search complements among spans of small generator sets
     best = None
     max_gens = 1
     while 2 ** max_gens < target:
         max_gens += 1
-    nontriv = [g for g in elems if g != identity]
+    nontriv = [g for g in elems if orders[g] > 1]
     for size in range(1, max_gens + 1):
         for gens in itertools.combinations(nontriv, size):
-            c = _closure(mul, identity, gens)
+            c = span(gens)
             if len(c) == target and len(c & cyc) == 1:
                 key = tuple(sorted(c))
                 if best is None or key < best[0]:
@@ -405,35 +391,42 @@ def decompose_abelian(elements, mul, identity, prefer_first=None):
             break
     if best is None:
         raise PreconditionError("no complement found; group not abelian?")
-    sub_orders, sub_gens = decompose_abelian(best[1], mul, identity)
+    sub_orders, sub_gens = decompose_abelian(best[1], span)
     return [n1] + sub_orders, [g1] + sub_gens
 
 
 def subgroup_as_group(s: Subgroup, prefer_first=None):
     """Present a subgroup abstractly: (K, embed) with embed : K -> parent injective."""
-    mul = lambda a, b: a * b
-    orders, gens = decompose_abelian(s.elements, mul, s.parent.identity,
-                                     prefer_first=prefer_first)
+    e = s.parent.identity
+    span = lambda gens: {e, *(y for _, _, y in span_walk(gens))}
+    orders, gens = decompose_abelian(s.elements, span, prefer_first=prefer_first)
     k = FinAbGroup(orders)
     embed = GroupHom(k, s.parent, tuple(gens))
     return k, embed
 
 
 def quotient_hom(group: FinAbGroup, subgroup: Subgroup) -> GroupHom:
-    """The projection G -> G/H with G/H presented as a FinAbGroup."""
+    """The projection G -> G/H with G/H presented as a FinAbGroup.
+
+    A coset is named by its least element; the cosets that representatives
+    gens span are read off the walk of H's greedy generators and gens.
+    """
     dec = CosetDecomposition(group, subgroup)
-    mul = lambda a, b: dec.rep_of(a * b)
-    orders, gens = decompose_abelian(dec.reps, mul, dec.rep_of(group.identity))
+    rep_of = dec.rep_of
+    e = rep_of(group.identity)
+    h_gens = [s for x, s, _ in subgroup.walk if x is None]
+    span = lambda gens: {e, *(rep_of(y) for _, _, y in span_walk(h_gens + list(gens)))}
+    orders, gens = decompose_abelian(dec.reps, span)
     k = FinAbGroup(orders)
     # exponent vector of every coset rep, by enumerating generator powers
     vec_of = {}
     for exps in itertools.product(*(range(n) for n in orders)):
-        cur = dec.rep_of(group.identity)
-        for g, e in zip(gens, exps):
-            for _ in range(e):
-                cur = mul(cur, g)
+        cur = e
+        for g, n in zip(gens, exps):
+            for _ in range(n):
+                cur = rep_of(cur * g)
         vec_of.setdefault(cur, k.element(exps))
     if len(vec_of) != len(dec.reps):  # pragma: no cover - decomposition guarantees this
         raise PreconditionError("quotient decomposition failed to cover all cosets")
-    images = [vec_of[dec.rep_of(g)] for g in group.generators()]
+    images = [vec_of[rep_of(g)] for g in group.generators()]
     return GroupHom(group, k, images)

@@ -34,7 +34,7 @@ from .algebras import AlgebraElement, GradedAlgebra
 from .errors import (InadmissibleSubstitution, InvariantViolation,
                      PolynomialSyntaxError, PreconditionError)
 from .groups import FinAbGroup, GroupElement, GroupHom
-from .scalars import CycloScalar, RowReducer, rational_rows
+from .scalars import CycloScalar, RowReducer
 from .specfile import _Parser, _tokenize
 
 
@@ -315,18 +315,16 @@ class IdentitySpace:
     positive integer.  That form is as canonical as the echelon form itself,
     so two spaces at tuples of the same length agree exactly when their rows
     do, and equality, hashing and membership run on ints.  The identities
-    are the vectors orthogonal to every row.  image, the Fraction reduced row
-    echelon form, and kernel, the identities' own canonical basis, are
-    computed on first use.
+    are the vectors orthogonal to every row.  kernel, the identities' own
+    canonical basis, is computed on first use.
     """
 
-    __slots__ = ("degrees", "ncols", "rows", "_image", "_kernel")
+    __slots__ = ("degrees", "ncols", "rows", "_kernel")
 
     def __init__(self, degrees: tuple[GroupElement, ...], rows):
         self.degrees = tuple(degrees)
         self.ncols = math.factorial(len(self.degrees))
         self.rows = tuple(rows)
-        self._image = None
         self._kernel = None
 
     @property
@@ -336,13 +334,6 @@ class IdentitySpace:
     @property
     def dimension(self) -> int:
         return self.ncols - len(self.rows)
-
-    @property
-    def image(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The image in canonical reduced row echelon form, as Fractions."""
-        if self._image is None:
-            self._image = tuple(rational_rows(self.rows))
-        return self._image
 
     @property
     def kernel(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -11,6 +11,10 @@ line order are free, missing ``mul`` lines mean zero products):
     mul i j = 1*k
     unit = 1*one
 
+A base-format table is checked (`validate`) as it becomes an algebra,
+whether it comes as a whole text, from ``file:`` or from a nested
+``file(...)``; an inconsistent table raises PreconditionError.
+
 Scalars are rationals ``p/q``, roots of unity ``zeta(M,k)``, and their
 parenthesized sums and products.  Group elements are exponent tuples
 ``(1,0)`` (``e`` is the identity; a bare integer works for rank one), and
@@ -43,8 +47,8 @@ from math import lcm
 
 from .algebras import (GradedAlgebra, TripleSpec, catalog,
                        matrix_over_division, quotient_grading, regrade,
-                       tensor_product, trivially_graded_reals)
-from .errors import SpecFormatError
+                       tensor_product, trivially_graded_reals, validate)
+from .errors import PreconditionError, SpecFormatError
 from .groups import FinAbGroup, GroupElement, Subgroup, make_group, make_hom
 from .scalars import CycloScalar
 
@@ -551,7 +555,12 @@ def parse_algebra(text: str, base_dir: str = ".", _depth: int = 0) -> GradedAlge
     if head.kind == "eof":
         raise SpecFormatError("empty algebra description", 1, 1)
     if head.kind == "ident" and head.value in _LINE_KEYWORDS:
-        return _parse_base_format(toks)
+        a = _parse_base_format(toks)
+        rep = validate(a)
+        if not rep.ok:
+            raise PreconditionError(
+                f"algebra table is inconsistent: {rep.failures[0]}")
+        return a
     out = p.parse_expr()
     p.expect_eof()
     return out
@@ -656,7 +665,3 @@ def serialize_algebra(a: GradedAlgebra) -> str:
     unit_rhs = " + ".join(term(c, k) for k, c in sorted(a.unit.items()))
     lines.append(f"unit = {unit_rhs}")
     return "\n".join(lines) + "\n"
-
-
-def canonical_serialization(a: GradedAlgebra) -> str:
-    return serialize_algebra(a)

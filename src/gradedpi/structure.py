@@ -25,9 +25,11 @@ The axioms of every table are checked exactly, and multiplicativity on
 generators too: once skew symmetry holds every value is a unit, and then a
 table on a subgroup is multiplicative in its first argument exactly when
 row(e) is all ones and row(g*s) = row(g) * row(s) for every g and each
-greedy generator s (`groups.span_walk`).  Row e needs its own check, as the
+greedy generator s.  The generators and the order in which derived rows
+are built are read from the walk a `Subgroup` keeps (`Subgroup.walk`), so
+no table walks its domain again.  Row e needs its own check, as the
 domain {e} has no generator: beta(e, e) = -1 there is skew symmetric but
-not multiplicative.  A domain that is not a subgroup, or a failed check,
+not multiplicative.  A domain given as a plain tuple, or a failed check,
 falls back to the scan over all triples, so the violations reported are
 always those of the cell-by-cell reading.
 
@@ -47,8 +49,8 @@ from .algebras import (AlgebraElement, GradedAlgebra, TripleSpec,
                        quotient_grading, regrade, twisted_group_algebra)
 from .errors import InvariantViolation, PreconditionError
 from .groups import (CosetDecomposition, GroupElement, GroupHom, Subgroup,
-                     is_elementary_2group, quotient_hom, span_walk,
-                     squares_subgroup, subgroup_as_group)
+                     is_elementary_2group, quotient_hom, squares_subgroup,
+                     subgroup_as_group)
 from .scalars import CycloScalar, field_solve
 
 
@@ -286,8 +288,10 @@ class BicharTable:
     @classmethod
     def checked(cls, domain, values: dict,
                 unit: AlgebraElement | None = None) -> "BicharTable":
-        """The table of `values` on `domain`, with its axiom violations."""
-        return cls(domain, values, unit, _axiom_violations(domain, values))
+        """The table of `values` on `domain`, a Subgroup or a tuple of
+        elements, with its axiom violations; the table keeps the tuple."""
+        dom = domain.elements if isinstance(domain, Subgroup) else domain
+        return cls(dom, values, unit, _axiom_violations(domain, values))
 
 
 def bicharacter_table(a: GradedAlgebra, domain,
@@ -319,10 +323,12 @@ def _table(a: GradedAlgebra, domain, measure,
     greedy generators, and every other row is a cell-wise product of two
     earlier ones (`_generated_rows`), with the values, violations and first
     pair without a factor of the row-by-row reading.  Any other input has
-    every row measured; no division check is run here.
+    every row measured; no division check is run here.  A Subgroup domain
+    goes on to `BicharTable.checked` as it is, so the axiom check reads the
+    generators off the same walk.
     """
-    dom = (domain.elements if isinstance(domain, Subgroup)
-           else tuple(sorted(domain)))
+    sub = domain if isinstance(domain, Subgroup) else None
+    dom = sub.elements if sub is not None else tuple(sorted(domain))
 
     def measured(g):
         factor = measure(g)
@@ -335,36 +341,37 @@ def _table(a: GradedAlgebra, domain, measure,
             cells.append(lam)
         return cells
 
-    if isinstance(domain, Subgroup) and known_division(a):
-        rows = _generated_rows(dom, measured)
+    if sub is not None and known_division(a):
+        rows = _generated_rows(sub, measured)
     else:
         rows = {g: measured(g) for g in dom}
     values = {}
     for g in dom:
         for h, lam in zip(dom, rows[g]):
             values[(g, h)] = lam
-    return BicharTable.checked(dom, values, unit)
+    return BicharTable.checked(dom if sub is None else sub, values, unit)
 
 
-def _generated_rows(dom, measured) -> dict:
+def _generated_rows(domain: Subgroup, measured) -> dict:
     """The rows of `_table` on the sorted elements of a subgroup.
 
-    Row e is measured first, then `span_walk` is followed: the row of each
-    greedy generator s, the least element outside the span S of the earlier
-    ones, is measured, and every other row of S*<s> is derived as
-    row(x*s) = row(x) * row(s) along the chains x, x*s, x*s^2, ...  So rows
-    are measured in domain order, each after every row before it in domain
-    order is complete, and the first missing factor raises at the pair
-    where the row-by-row reading would.
+    Row e is measured first, then the walk kept on the subgroup
+    (`Subgroup.walk`) is followed: the row of each greedy generator s, the
+    least element outside the span S of the earlier ones, is measured, and
+    every other row of S*<s> is derived as row(x*s) = row(x) * row(s) along
+    the chains x, x*s, x*s^2, ...  So rows are measured in domain order,
+    each after every row before it in domain order is complete, and the
+    first missing factor raises at the pair where the row-by-row reading
+    would.
     """
-    rows = {dom[0]: measured(dom[0])}
-    for x, s, y in span_walk(dom):
+    rows = {domain.elements[0]: measured(domain.elements[0])}
+    for x, s, y in domain.walk:
         rows[y] = (measured(s) if x is None
                    else [p * q for p, q in zip(rows[x], rows[s])])
     return rows
 
 
-def _axiom_violations(dom, values) -> tuple[str, ...]:
+def _axiom_violations(domain, values) -> tuple[str, ...]:
     """Skew symmetry and multiplicativity in the first argument, exactly.
 
     A bicharacter takes few distinct values, so they are interned: every
@@ -374,16 +381,19 @@ def _axiom_violations(dom, values) -> tuple[str, ...]:
 
     Skew symmetry is checked on all n^2 cells.  Once it holds, every value
     is a unit, and multiplicativity is checked on generators when the
-    domain is a subgroup, which `span_walk` tells: row(g*h) = row(g) *
-    row(h) for all g, h exactly when row(e) is all ones and row(g*s) =
-    row(g) * row(s) for every g and each greedy generator s, since then the
-    row of s_1 ... s_k is the product of theirs by induction on k.  Row e
-    matters on its own only on the domain {e}, which has no generator.
-    That is n^2*r lookups for r generators instead of n^3.  The full scan
-    over all triples runs when the domain is not a subgroup or some check
-    has failed, so the violations listed are always those of the
-    cell-by-cell reading, in its order.
+    domain is a `Subgroup`, whose greedy generators are read from the walk
+    it keeps (`Subgroup.walk`): row(g*h) = row(g) * row(h) for all g, h
+    exactly when row(e) is all ones and row(g*s) = row(g) * row(s) for
+    every g and each greedy generator s, since then the row of s_1 ... s_k
+    is the product of theirs by induction on k.  Row e matters on its own
+    only on the domain {e}, which has no generator.  That is n^2*r lookups
+    for r generators instead of n^3.  The full scan over all triples runs
+    when the domain is a tuple of elements, even one that is a subgroup, or
+    when some check has failed, so the violations listed are always those
+    of the cell-by-cell reading, in its order.
     """
+    sub = domain if isinstance(domain, Subgroup) else None
+    dom = domain.elements if sub is not None else domain
     m = lcm(*(v.conductor for v in values.values()))
     number: dict = {}
     interned: list[CycloScalar] = []
@@ -418,16 +428,9 @@ def _axiom_violations(dom, values) -> tuple[str, ...]:
     position = {g: r for r, g in enumerate(dom)}
 
     def multiplicative_on_generators() -> bool:
-        e = position.get(dom[0].group.identity) if dom else None
-        if e is None or any(k != one_id for k in ids[e]):
+        if any(k != one_id for k in ids[position[sub.parent.identity]]):
             return False
-        gens = []
-        for x, s, y in span_walk(dom):
-            if y not in position:
-                return False  # dom is not a subgroup
-            if x is None:
-                gens.append(s)
-        for s in gens:
+        for s in (s for x, s, _ in sub.walk if x is None):
             srow = ids[position[s]]
             for g, grow in zip(dom, ids):
                 gsrow = ids[position[g * s]]
@@ -436,7 +439,7 @@ def _axiom_violations(dom, values) -> tuple[str, ...]:
                         return False
         return True
 
-    if not violations and multiplicative_on_generators():
+    if not violations and sub is not None and multiplicative_on_generators():
         return ()
     for r, g in enumerate(dom):
         for c, h in enumerate(dom):

@@ -11,13 +11,14 @@ import pytest
 
 from gradedpi import cache, specfile
 from gradedpi.algebras import catalog, catalog_names
-from gradedpi.cache import (ENV_CACHE_DIR, PAYLOAD_FORMAT, CacheEntry,
+from gradedpi.cache import (ENV_CACHE_DIR, PAYLOAD_FORMAT,
                             cache_get, cache_put, cached_identity_space,
                             default_cache_dir, serialize_space,
                             space_from_payload, space_key)
 from gradedpi.cache import _checksum as checksum
 from gradedpi.identities import IdentitySpace, identity_space
-from gradedpi.specfile import canonical_serialization
+from gradedpi.scalars import rational_rows
+from gradedpi.specfile import serialize_algebra
 from test_identities import _count_fractions
 
 
@@ -37,7 +38,7 @@ def test_key_is_stable_and_content_addressed():
     assert k1 != space_key(catalog("M2_4"), degs)
 
 
-# sha256 of canonical_serialization, which every cache key hashes; pinned so
+# sha256 of serialize_algebra, which every cache key hashes; pinned so
 # that a change of the scalar representation cannot move keys or CLI text
 SERIALIZATION_DIGESTS = {
     "C2": "dd7367d267acc7168aa873eea5f80269bebce3aacab1c5c9493cafe038a04fe4",
@@ -67,7 +68,7 @@ def test_canonical_serialization_is_pinned(name):
         a = catalog("pauli", *name[len("pauli("):-1].split(","))
     else:
         a = catalog(name)
-    text = canonical_serialization(a)
+    text = serialize_algebra(a)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         SERIALIZATION_DIGESTS[name]
 
@@ -83,7 +84,7 @@ def test_serialization_formats_each_distinct_constant_once(monkeypatch,
     real = specfile.format_scalar
     monkeypatch.setattr(specfile, "format_scalar",
                         lambda s: calls.append(s) or real(s))
-    text = canonical_serialization(a)
+    text = serialize_algebra(a)
     assert len(calls) == len({(c.conductor, c.num, c.den)
                               for c in constants}) < len(constants)
     assert len(set(calls)) == len(calls)
@@ -93,8 +94,8 @@ def test_serialization_formats_each_distinct_constant_once(monkeypatch,
 
 def test_key_serialises_each_algebra_once(monkeypatch):
     calls = []
-    real = cache.canonical_serialization
-    monkeypatch.setattr(cache, "canonical_serialization",
+    real = cache.serialize_algebra
+    monkeypatch.setattr(cache, "serialize_algebra",
                         lambda a: calls.append(a) or real(a))
     a = catalog("H4")
     degs = degrees_of(a, (0, 0), (1, 0))
@@ -112,7 +113,7 @@ def test_serialize_space_round_trip_is_exact(tmp_path):
     payload = serialize_space(space)
     back = space_from_payload(payload, degs)
     assert back == space
-    assert back.image == space.image
+    assert back.rows == space.rows
     assert back.kernel == space.kernel
     # byte-identical reserialization
     assert json.dumps(serialize_space(back), sort_keys=True) == \
@@ -140,7 +141,7 @@ def test_payload_round_trip_clears_denominators():
     a = catalog("H4")
     degs = degrees_of(a, (0, 0), (1, 0), (0, 1))
     space = IdentitySpace(degs, [(2, 1, 0, 0, -3, 0), (0, 0, 3, 0, 1, 0)])
-    assert space.image[0][:2] == (1, Fraction(1, 2))
+    assert rational_rows(space.rows)[0][:2] == (1, Fraction(1, 2))
     payload = serialize_space(space)
     assert payload["rows"] == [[2, 1, 0, 0, -3, 0], [0, 0, 3, 0, 1, 0]]
     assert space_from_payload(payload, degs).rows == space.rows
@@ -152,11 +153,10 @@ def test_cache_put_get_round_trip(tmp_path):
     degs = degrees_of(a, (1, 0), (0, 1))
     space = identity_space(a, degs)
     key = space_key(a, degs)
-    cache_put(key, serialize_space(space), directory=d)
-    entry = cache_get(key, directory=d)
-    assert isinstance(entry, CacheEntry)
-    assert entry.key == key
-    assert space_from_payload(entry.value, degs) == space
+    assert cache_put(key, serialize_space(space), directory=d) is None
+    payload = cache_get(key, directory=d)
+    assert payload == serialize_space(space)
+    assert space_from_payload(payload, degs) == space
 
 
 def test_cache_get_missing_is_none(tmp_path):
@@ -167,8 +167,11 @@ def test_corrupt_entries_are_logged_misses(tmp_path, capsys):
     d = str(tmp_path)
     key = "a" * 64
     os.makedirs(d, exist_ok=True)
-    # unparsable JSON, then JSON values that are not an object
-    for text in ("{nope", "[1, 2]", "3", '"x"', "null"):
+    # unparsable JSON, JSON values that are not an object, then entries
+    # under the right key whose payload is missing or not an object
+    entries = [f'{{"key": "{key}"}}', f'{{"key": "{key}", "value": null}}',
+               f'{{"key": "{key}", "value": [1]}}']
+    for text in ("{nope", "[1, 2]", "3", '"x"', "null", *entries):
         with open(os.path.join(d, key + ".json"), "w") as fh:
             fh.write(text)
         assert cache_get(key, directory=d) is None, text
@@ -216,14 +219,14 @@ def test_concurrent_writers_never_expose_a_partial_entry(tmp_path, capsys):
         w.start()
     reads = []
     while any(w.is_alive() for w in writers) or not reads:
-        entry = cache_get(key, directory=d)
-        assert entry is None or entry == CacheEntry(key, value)
-        reads.append(entry)
+        payload = cache_get(key, directory=d)
+        assert payload is None or payload == value
+        reads.append(payload)
     for w in writers:
         w.join()
         assert w.exitcode == 0
-    assert cache_get(key, directory=d) == CacheEntry(key, value)
-    assert space_from_payload(cache_get(key, directory=d).value, degs) == \
+    assert cache_get(key, directory=d) == value
+    assert space_from_payload(cache_get(key, directory=d), degs) == \
         identity_space(a, degs)
     assert "corrupt" not in capsys.readouterr().err
     assert os.listdir(d) == [key + ".json"]
@@ -277,7 +280,8 @@ def test_entry_of_an_older_format_is_never_read(tmp_path, monkeypatch, capsys):
         m.setattr(cache, "PAYLOAD_FORMAT", 2)
         old_key = space_key(a, degs)
     old = {"format": 2, "degrees": [[1, 0], [0, 1]], "ncols": 2,
-           "image": [[str(q) for q in row] for row in space.image]}
+           "image": [[str(q) for q in row]
+                     for row in rational_rows(space.rows)]}
     cache_put(old_key, old, directory=d)
     old_path = os.path.join(d, old_key + ".json")
     old_text = open(old_path).read()
@@ -304,8 +308,7 @@ def assert_entry_is_replaced(d, degs, payload, capsys, reason="corrupt"):
     err = capsys.readouterr().err
     assert "corrupt" in err and reason in err, err
     assert s == identity_space(catalog("H4"), degs)  # computed afresh
-    entry = cache_get(key, directory=d)
-    assert space_from_payload(entry.value, degs) == s
+    assert space_from_payload(cache_get(key, directory=d), degs) == s
 
 
 def h4_degrees(*exps):

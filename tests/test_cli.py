@@ -195,6 +195,29 @@ def test_invalid_file_table_exits_3(tmp_path, capsys, cache_args):
     assert code == 3 and "inconsistent" in err
 
 
+# u of degree (1) with u*u = 2*u: the product leaves its component
+BAD_Z2_TABLE = ("group Z2\nconductor 1\nbasis one u\ndeg one = e\n"
+                "deg u = (1)\nmul one one = 1*one\nmul one u = 1*u\n"
+                "mul u one = 1*u\nmul u u = 2*u\nunit = 1*one\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "file:bad.galg"],
+    ["idspace", 'regrade(file("bad.galg"), into=Z2, images=[(1)])',
+     "--tuple", "(1),(1)"],
+    ["normalize", 'matrix(D=file("bad.galg"), H=[(1)], tuple=[(0)])'],
+    ["classify", BAD_Z2_TABLE],
+], ids=["file", "nested-in-regrade", "nested-in-matrix", "inline"])
+def test_every_inconsistent_table_exits_3(tmp_path, monkeypatch, capsys,
+                                          cache_args, argv):
+    # top-level, nested and inline tables are validated as they are parsed
+    (tmp_path / "bad.galg").write_text(BAD_Z2_TABLE)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(cache_args + argv, capsys)
+    assert code == 3 and out == ""
+    assert "algebra table is inconsistent: degree violation: u*u hits u" in err
+
+
 def test_inline_matrix_triple_in_equiv(capsys, cache_args):
     code, out, _ = run(cache_args + [
         "equiv", "--max-degree", "3", "catalog:M2_2",

@@ -1,5 +1,6 @@
 """Finite abelian groups, subgroups, homs, quotients."""
 
+import itertools
 import re
 
 import pytest
@@ -232,3 +233,116 @@ def test_elements_hash_by_exponents_and_compare_groups():
     assert hash(x) == hash(y) == hash((1, 1))
     assert x != y and len({x, y}) == 2
     assert {x: 1}.get(a.element((1, 1))) == 1 and {x: 1}.get(y) is None
+
+
+# -- cyclic decompositions against the fixpoint oracle -------------------------
+
+def _fixpoint_order(mul, g, identity):
+    k, cur = 1, g
+    while cur != identity:
+        cur = mul(cur, g)
+        k += 1
+    return k
+
+
+def _fixpoint_closure(mul, identity, gens):
+    out = {identity}
+    changed = True
+    while changed:
+        changed = False
+        for x in list(out):
+            for g in gens:
+                p = mul(x, g)
+                if p not in out:
+                    out.add(p)
+                    changed = True
+    return out
+
+
+def _fixpoint_decompose(elements, mul, identity, prefer_first=None):
+    # the decomposition from products alone: orders by repeated products,
+    # spans by closing under the generators until nothing new appears
+    elems = sorted(elements)
+    if len(elems) == 1:
+        return [], []
+    orders = {g: _fixpoint_order(mul, g, identity) for g in elems}
+    max_ord = max(orders.values())
+    if prefer_first is not None:
+        if orders[prefer_first] != max_ord:
+            raise PreconditionError("preferred generator does not have maximal order")
+        g1 = prefer_first
+    else:
+        g1 = min(g for g in elems if orders[g] == max_ord)
+    if orders[g1] == len(elems):
+        return [orders[g1]], [g1]
+    cyc = _fixpoint_closure(mul, identity, [g1])
+    target = len(elems) // orders[g1]
+    max_gens = 1
+    while 2 ** max_gens < target:
+        max_gens += 1
+    nontriv = [g for g in elems if g != identity]
+    best = None
+    for size in range(1, max_gens + 1):
+        for gens in itertools.combinations(nontriv, size):
+            c = _fixpoint_closure(mul, identity, gens)
+            if len(c) == target and len(c & cyc) == 1:
+                if best is None or tuple(sorted(c)) < best[0]:
+                    best = (tuple(sorted(c)), c)
+        if best is not None:
+            break
+    sub_orders, sub_gens = _fixpoint_decompose(best[1], mul, identity)
+    return [orders[g1]] + sub_orders, [g1] + sub_gens
+
+
+def _fixpoint_quotient_hom(group, subgroup):
+    dec = cosets(group, subgroup)
+    mul = lambda a, b: dec.rep_of(a * b)
+    e = dec.rep_of(group.identity)
+    orders, gens = _fixpoint_decompose(dec.reps, mul, e)
+    k = FinAbGroup(orders)
+    vec_of = {}
+    for exps in itertools.product(*(range(n) for n in orders)):
+        cur = e
+        for g, n in zip(gens, exps):
+            for _ in range(n):
+                cur = mul(cur, g)
+        vec_of.setdefault(cur, k.element(exps))
+    return make_hom(group, k, [vec_of[dec.rep_of(g)] for g in group.generators()])
+
+
+SWEEP_GROUPS = [make_group(o) for o in [
+    (2,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (4, 4), (3, 3), (2, 4), (8,),
+    (2, 2, 4), (2, 6), (3, 9)]]
+
+
+def _two_generated_subgroups(g):
+    """Every subgroup of g generated by at most two elements, once each."""
+    seen = {}
+    for pair in itertools.combinations_with_replacement(g.elements(), 2):
+        s = Subgroup.generated_by(g, pair)
+        seen.setdefault(s.elements, s)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("g", SWEEP_GROUPS, ids=repr)
+def test_subgroup_keeps_its_span_walk(g):
+    for s in _two_generated_subgroups(g):
+        assert s.walk == tuple(span_walk(s.elements))
+        gens = [x for step, x, _ in s.walk if step is None]
+        assert Subgroup.generated_by(g, gens) == s
+
+
+@pytest.mark.parametrize("g", SWEEP_GROUPS, ids=repr)
+def test_decompositions_match_the_fixpoint_oracle(g):
+    mul = lambda a, b: a * b
+    for s in _two_generated_subgroups(g):
+        top = max(x.order() for x in s)
+        for first in [None] + [x for x in s if x.order() == top]:
+            k, embed = subgroup_as_group(s, prefer_first=first)
+            want = _fixpoint_decompose(s.elements, mul, g.identity, first)
+            assert (list(k.orders), list(embed.generator_images)) == want
+        low = [x for x in s if x.order() < top]
+        if low:
+            with pytest.raises(PreconditionError, match="maximal order"):
+                subgroup_as_group(s, prefer_first=low[-1])
+        assert quotient_hom(g, s) == _fixpoint_quotient_hom(g, s)

@@ -28,6 +28,7 @@ from gradedpi.identities import (GradedPolynomial, IdentitySpace, VarRef,
                                  _substitution_basis, evaluate, identity_space,
                                  is_identity, monomial_order, parse_polynomial,
                                  same_identities_up_to, theta_image)
+from gradedpi.scalars import rational_rows
 from test_algebras import (clock_shift_model, numeric_scalar, quaternion_model,
                            sylvester_model, table_matches_model)
 from test_scalars import _reference_nullspace, _reference_rref
@@ -358,10 +359,15 @@ def test_kernel_is_the_canonical_annihilator_of_the_image(params, exps):
     a = catalog(*params)
     degrees = tuple(a.group.element(x) for x in exps)
     space = identity_space(a, degrees)
-    want = _reference_nullspace(list(space.image), space.ncols)
+    want = _reference_nullspace(list(_image(space)), space.ncols)
     assert list(space.kernel) == want
     assert len(space.kernel) == space.dimension
     assert all(space.contains_vector(row) for row in space.kernel)
+
+
+def _image(space):
+    """The space's image as its Fraction reduced row echelon rows."""
+    return tuple(rational_rows(space.rows))
 
 
 def _reference_image(a, degrees):
@@ -405,7 +411,7 @@ def test_image_matches_element_product_reference(params, exps):
     degrees = tuple(a.group.element(x) for x in exps)
     want = _reference_image(a, degrees)
     space = identity_space(a, degrees)
-    assert space.image == want
+    assert _image(space) == want
     _assert_canonical_integer_rows(space.rows)
     if params == ("quat_trivial",):
         assert len(want) == math.factorial(len(degrees))
@@ -495,7 +501,7 @@ def test_images_are_pinned(name):
     h = hashlib.sha256()
     for size in range(1, (4 if name in IMAGE_DIGEST_DEEP else 3) + 1):
         for degrees in itertools.product(sorted(a.support()), repeat=size):
-            h.update(repr((degrees, identity_space(a, degrees).image)).encode())
+            h.update(repr((degrees, _image(identity_space(a, degrees)))).encode())
     assert h.hexdigest() == IMAGE_DIGESTS[name]
 
 
@@ -511,7 +517,7 @@ def test_pauli31_images_to_degree_5_are_pinned():
     h = hashlib.sha256()
     for size in range(1, 6):
         for ms in itertools.combinations_with_replacement(sorted(a.support()), size):
-            h.update(repr((ms, identity_space(a, ms).image)).encode())
+            h.update(repr((ms, _image(identity_space(a, ms)))).encode())
     assert h.hexdigest() == PAULI31_DEGREE5_DIGEST
 
 
@@ -592,8 +598,8 @@ def test_unaligned_basis_keeps_every_generator():
     e, g = z2.identity, z2.element((1,))
     for degrees in [(g, g), (e, g, g), (g, g, g)]:
         want = _reference_image(a, degrees)
-        assert identity_space(b, degrees).image == want
-        assert identity_space(a, degrees).image == want
+        assert _image(identity_space(b, degrees)) == want
+        assert _image(identity_space(a, degrees)) == want
     # [x_1, y_1] is no identity: X and XY anticommute
     assert identity_space(b, (g, g)).dimension == 0
     assert (len(_substitution_basis(b)[e]), len(_substitution_basis(b)[g])) == (2, 4)
@@ -617,7 +623,7 @@ def test_empty_component_space_has_empty_image():
     g = make_group((2,))
     a = trivially_graded_reals(g)
     space = identity_space(a, (g.identity, g.element((1,))))
-    assert space.image == () and space.dimension == 2
+    assert space.rows == () and space.dimension == 2
     assert list(space.kernel) == [(1, 0), (0, 1)]
 
 

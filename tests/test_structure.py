@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import gradedpi.algebras as algebras_module
+import gradedpi.groups as groups_module
 import gradedpi.structure as structure_module
 from gradedpi.algebras import (GradedAlgebra, TripleSpec, catalog,
                                catalog_names, check_graded_division,
@@ -461,12 +462,14 @@ def test_axioms_compare_values_across_conductors():
     # equal values stored at different conductors are interned as one
     a = catalog("pauli", 3, 1)
     t = classify(a).bichar
+    supp = a.support_subgroup()
+    assert supp.elements == t.domain
     values = {k: (v.promote(24) if i % 3 == 0 else v)
               for i, (k, v) in enumerate(t.values.items())}
-    assert BicharTable.checked(t.domain, values).violations == ()
+    assert BicharTable.checked(supp, values).violations == ()
     g, h = t.domain[1], t.domain[3]
     values[(g, h)] = t.values[(g, h)].conjugate().promote(36)
-    bad = BicharTable.checked(t.domain, values)
+    bad = BicharTable.checked(supp, values)
     assert bad.violations
     assert bad.violations == _reference_violations(t.domain, values)
 
@@ -478,14 +481,14 @@ def test_identity_row_must_be_all_ones():
     e, s = g.identity, g.element((1,))
     minus = -CycloScalar.one(1)
     values = {(e, e): minus}
-    bad = BicharTable.checked((e,), values)
+    bad = BicharTable.checked(Subgroup.trivial(g), values)
     assert bad.violations == ("multiplicativity fails at ((0), (0); (0))",)
     assert bad.violations == _reference_violations((e,), values)
     # on Z2, row(e) = -1 with row(s) = i: the generator's own product
     # row(s*s) = row(s) * row(s) agrees, every product through e fails
     i = CycloScalar.root_of_unity(4, 1, 4)
     values = {(e, e): minus, (e, s): minus, (s, e): i, (s, s): i}
-    bad = BicharTable.checked((e, s), values)
+    bad = BicharTable.checked(Subgroup.full(g), values)
     assert "multiplicativity fails at ((1), (1); (0))" not in bad.violations
     assert "multiplicativity fails at ((0), (1); (1))" in bad.violations
     assert bad.violations == _reference_violations((e, s), values)
@@ -503,7 +506,7 @@ def test_generator_check_closes_each_chain():
     z3 = make_group((3,))
     dom = z3.elements()
     values = _table_from_rows(dom, [(1, 1, 1), (1, -1, 1), (1, 1, 1)])
-    bad = BicharTable.checked(dom, values)
+    bad = BicharTable.checked(Subgroup.full(z3), values)
     assert "multiplicativity fails at ((1), (2); (1))" in bad.violations
     assert bad.violations == _reference_violations(dom, values)
 
@@ -533,25 +536,67 @@ def _corrupted_tables(t):
 
 
 def _classified(label):
+    """The classified table of a catalog or benchmark algebra, with its
+    domain as a Subgroup."""
     if label == "pauli(3,1)":
-        return classify(catalog("pauli", 3, 1)).bichar
-    if label == "H4 x H4":
-        return classify(_benchmark_algebras()["H4 x H4"]).bichar
-    return classify(catalog(label)).bichar
+        a = catalog("pauli", 3, 1)
+    elif label == "H4 x H4":
+        a = _benchmark_algebras()["H4 x H4"]
+    else:
+        a = catalog(label)
+    t = classify(a).bichar
+    sub = Subgroup(a.group, t.domain)
+    assert sub.elements == t.domain
+    return t, sub
 
 
 @pytest.mark.parametrize("label", ["H4", "pauli(3,1)", "M2_8", "H4 x H4"])
 def test_corrupted_tables_report_the_cell_by_cell_violations(label):
     # the generator check must send every corrupted table to the full scan
-    t = _classified(label)
+    t, sub = _classified(label)
     assert t.violations == ()
     cases = list(_corrupted_tables(t))
     n = len(t.domain)
     assert len(cases) >= n * n + n * (n - 1) // 2
     for values in cases:
-        got = BicharTable.checked(t.domain, values).violations
+        got = BicharTable.checked(sub, values).violations
         assert got, values
         assert got == _reference_violations(t.domain, values)
+
+
+@pytest.mark.parametrize("label", ["H4", "pauli(3,1)"])
+def test_tuple_and_subgroup_domains_give_the_same_violations(label):
+    # a tuple domain always takes the full scan, a Subgroup the generator
+    # check first; both tables keep the tuple and list the same violations
+    t, sub = _classified(label)
+    for values in [t.values, *_corrupted_tables(t)]:
+        by_tuple = BicharTable.checked(t.domain, values)
+        by_subgroup = BicharTable.checked(sub, values)
+        assert by_tuple.domain == by_subgroup.domain == t.domain
+        assert by_tuple.violations == by_subgroup.violations
+
+
+def test_a_prebuilt_subgroup_is_never_walked_again(monkeypatch):
+    # rows and the axiom check both read the walk the Subgroup keeps
+    real_case, complex_case = catalog("M2_8"), catalog("pauli", 3, 1)
+    cases = [(real_case, real_case.support_subgroup(), None),
+             (complex_case, complex_case.support_subgroup(),
+              find_complex_unit(complex_case))]
+    assert all(known_division(a) for a, _, _ in cases)
+    walked = []
+    real = groups_module.span_walk
+
+    def counting(elements):
+        walked.append(1)
+        return real(elements)
+
+    for module in (groups_module, structure_module):
+        if getattr(module, "span_walk", None) is real:
+            monkeypatch.setattr(module, "span_walk", counting)
+    for a, supp, unit in cases:
+        t = bicharacter_table(a, supp, unit)
+        assert t.domain == supp.elements and t.violations == ()
+    assert walked == []
 
 
 def test_axioms_on_a_domain_that_is_not_a_subgroup():
